@@ -59,6 +59,8 @@ def _load_json(path: str):
         raise FormatError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not valid UTF-8 ({e.reason})") from None
 
 
 def _as_int(value, what: str) -> int:

@@ -5,6 +5,8 @@ cost in this module is a fractions.Fraction; nothing ever rounds.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -43,21 +45,65 @@ class FiniteSpace:
         return Fraction(count, self.n)
 
 
+class ShiftMapping(Mapping):
+    """Read-only view of x -> x + step (mod n) on length atoms from start, wrapping.
+
+    Nothing is materialised: lookups, membership and len are O(1) and the
+    domain is iterated lazily in the order start, start+1, ...  A shift is
+    injective on any interval of Z/n, so no entry ever needs checking.
+    """
+
+    __slots__ = ("n", "step", "start", "length")
+
+    def __init__(self, n: int, step: int, start: int, length: int):
+        if n < 1:
+            raise ModelError(f"a shift view needs n >= 1, got {n}")
+        if not 0 <= start < n:
+            raise ModelError(f"shift view start {start} outside 0..{n - 1}")
+        if not 0 <= length <= n:
+            raise ModelError(f"shift view length {length} outside 0..{n}")
+        self.n = n
+        self.step = step % n
+        self.start = start
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __contains__(self, x) -> bool:
+        return isinstance(x, int) and 0 <= x < self.n and (x - self.start) % self.n < self.length
+
+    def __getitem__(self, x: int) -> int:
+        if x not in self:
+            raise KeyError(x)
+        return (x + self.step) % self.n
+
+    def __iter__(self):
+        end = self.start + self.length
+        yield from range(self.start, min(end, self.n))
+        yield from range(end - self.n)
+
+
 @dataclass
 class PartialMap:
     """A named injective map from a subset of the atoms into the atoms.
 
-    mapping holds source -> target entries.  Loops (x -> x) are allowed; they
-    widen the domain without relating distinct atoms.
+    mapping holds source -> target entries, either as a dict or as a
+    ShiftMapping view.  Loops (x -> x) are allowed; they widen the domain
+    without relating distinct atoms.
     """
 
     name: str
     space: FiniteSpace
-    mapping: dict[int, int]
+    mapping: Mapping[int, int]
 
     def __post_init__(self):
         n = self.space.n
         m = self.mapping
+        if isinstance(m, ShiftMapping):
+            if m.n != n:
+                raise ModelError(f"map {self.name!r}: shift view on n={m.n}, the map on n={n}")
+            return
         if not m:
             return
         if min(m) < 0 or max(m) >= n:
@@ -151,6 +197,23 @@ class Relation:
                 raise ModelError(f"atom {x}: representative {r} is not its own representative")
 
     @classmethod
+    def periodic(cls, space: FiniteSpace, base: list[int]) -> "Relation":
+        """The relation with parent[x] = base[x % p], p = len(base) dividing n.
+
+        base is checked as a canonical relation on Z/p in O(p).  Every entry
+        of base is below p, so the lift is canonical on Z/n as well and its
+        n-entry array is built by list repetition without a second check.
+        """
+        p = len(base)
+        if p == 0 or space.n % p:
+            raise ModelError(f"period {p} does not divide n={space.n}")
+        cls(FiniteSpace(p), base)
+        lifted = cls.__new__(cls)
+        lifted.space = space
+        lifted.parent = base * (space.n // p)
+        return lifted
+
+    @classmethod
     def from_classes(cls, space: FiniteSpace, groups) -> "Relation":
         """Build from lists of atoms; atoms left unlisted become singletons."""
         parent = list(range(space.n))
@@ -237,7 +300,24 @@ def nu_measure(edges: EdgeSet) -> Fraction:
 
 
 def generated_relation(g: Graphing) -> Relation:
-    """Smallest equivalence relation joining every source to its target."""
+    """Smallest equivalence relation joining every source to its target.
+
+    When every map is a ShiftMapping the work runs on Z/p, where p is the gcd
+    of n and the steps of the full-domain views.  Those views alone have the
+    residue classes mod p as orbits, so each partial view only joins x mod p
+    to (x + step) mod p, and its first p atoms already meet every residue it
+    can.  The result is lifted back with Relation.periodic.
+    """
+    views = [m.mapping for m in g.maps]
+    if all(isinstance(v, ShiftMapping) for v in views):
+        n = g.space.n
+        p = math.gcd(n, *(v.step for v in views if v.length == n))
+        uf = UnionFind(p)
+        for v in views:
+            if v.length < n:
+                for x in range(v.start, v.start + min(v.length, p)):
+                    uf.union(x % p, (x + v.step) % p)
+        return Relation.periodic(g.space, uf.canonical())
     uf = UnionFind(g.space.n)
     union = uf.union
     for m in g.maps:

@@ -16,6 +16,7 @@ from .relcore import (
     ModelError,
     PartialMap,
     Relation,
+    ShiftMapping,
     Subset,
     cost,
     generates,
@@ -73,16 +74,14 @@ class Arc:
 def expected_relation(sys: RotationSystem) -> Relation:
     """Cosets of g = gcd(n, all steps): the orbit partition of the full action."""
     g = math.gcd(sys.n, *sys.steps.values())
-    return Relation(sys.space, [x % g for x in range(sys.n)])
+    return Relation.periodic(sys.space, list(range(g)))
 
 
 def full_graphing(sys: RotationSystem) -> Graphing:
-    """Every step on its full domain."""
+    """Every step on its full domain, each map a shift view."""
     space = sys.space
-    n = sys.n
-    maps = [PartialMap(name, space, {x: (x + s) % n for x in range(n)})
-            for name, s in sys.steps.items()]
-    return Graphing(space, maps)
+    return Graphing(space, [PartialMap(name, space, ShiftMapping(sys.n, s, 0, sys.n))
+                            for name, s in sys.steps.items()])
 
 
 def epsilon_graphing(sys: RotationSystem, full_step: str, arc: Arc) -> Graphing:
@@ -90,7 +89,8 @@ def epsilon_graphing(sys: RotationSystem, full_step: str, arc: Arc) -> Graphing:
 
     Costs 1 + (k-1) * length/n for k steps.  When the full step is coprime
     to n the family still generates the whole orbit partition, because any
-    restricted jump can be reached through the arc.
+    restricted jump can be reached through the arc.  Every map is a shift
+    view, so building the graphing takes O(k) whatever n is.
     """
     if len(sys.steps) < 2:
         raise ModelError("need at least two steps to restrict against a full one")
@@ -99,21 +99,46 @@ def epsilon_graphing(sys: RotationSystem, full_step: str, arc: Arc) -> Graphing:
     arc.check(sys.n)
     space = sys.space
     n = sys.n
-    arc_atoms = arc.atoms(n)
     maps = []
     for name, s in sys.steps.items():
         if name == full_step:
-            maps.append(PartialMap(name, space, {x: (x + s) % n for x in range(n)}))
+            view = ShiftMapping(n, s, 0, n)
         else:
-            maps.append(PartialMap(name, space, {x: (x + s) % n for x in arc_atoms}))
+            view = ShiftMapping(n, s, arc.start, arc.length)
+        maps.append(PartialMap(name, space, view))
     return Graphing(space, maps)
+
+
+def _least_iterate(a: int, b: int, n: int, width: int) -> int | None:
+    """Least m >= 0 with (b + m*a) mod n < width, for 0 <= a, b < n; None if none."""
+    if b < width:
+        return 0
+    if a == 0 or width == 0:
+        return None
+    # b + m*a lands in [0, width) exactly when m*a lands in [n - b, n - b + width)
+    return _least_multiple(a, n, n - b, n - b + width - 1)
+
+
+def _least_multiple(a: int, n: int, lo: int, hi: int) -> int | None:
+    """Least k >= 1 with lo <= k*a mod n <= hi, for 0 < a < n and 0 < lo <= hi < n."""
+    if 2 * a > n:  # k*(n - a) mod n mirrors k*a mod n, and the window excludes 0
+        a, lo, hi = n - a, n - hi, n - lo
+    k = -(-lo // a)
+    if k * a <= hi:
+        return k
+    # No multiple of a falls in [lo, hi], so hi - lo < a and each window
+    # [lo + j*n, hi + j*n] holds at most one.  The least j whose window holds
+    # one gives the least k, and a window holds one exactly when
+    # (-lo - j*n) mod a <= hi - lo: the same problem with modulus a <= n/2.
+    j = _least_iterate(-n % a, -lo % a, a, hi - lo + 1)
+    return None if j is None else -(-(lo + j * n) // a)
 
 
 def first_hitting_time(n: int, step: int, x: int, arc: Arc) -> int:
     """Least m >= 0 with x + m*step inside the arc (mod n).
 
-    Solved atom by atom through the modular inverse of step/gcd, so the work
-    grows with the arc length, never with n.
+    Solved by a Euclid-style recursion on (step, n) that at least halves the
+    modulus each level, so it takes O(log n) steps whatever the arc length.
     """
     if n < 1:
         raise ModelError(f"modulus must be positive, got {n}")
@@ -121,21 +146,11 @@ def first_hitting_time(n: int, step: int, x: int, arc: Arc) -> int:
     if not 0 <= x < n:
         raise ModelError(f"atom {x} outside 0..{n - 1}")
     step %= n
-    g = math.gcd(step, n)
-    span = n // g
-    inv = pow(step // g, -1, span) if span > 1 else 0
-    best = None
-    for t in arc.atoms(n):
-        d = (t - x) % n
-        if d % g:
-            continue
-        m = (d // g) * inv % span
-        if best is None or m < best:
-            best = m
-    if best is None:
+    m = _least_iterate(step, (x - arc.start) % n, n, arc.length)
+    if m is None:
         raise UnreachableArcError(
             f"step {step} from atom {x} never enters the arc at {arc.start} of length {arc.length}")
-    return best
+    return m
 
 
 @dataclass(frozen=True)
@@ -231,7 +246,10 @@ def _exact_eps(value) -> Fraction:
     except (ValueError, ZeroDivisionError, TypeError):
         raise ModelError(f"cannot read {value!r} as an exact ratio") from None
     if not 0 < eps <= 1:
-        raise ModelError(f"eps must lie in (0, 1], got {eps}")
+        # str() of an integer past a few thousand digits raises; name the side instead
+        shown = eps if max(abs(eps.numerator), eps.denominator).bit_length() <= 1000 else (
+            "a ratio above 1" if eps > 1 else "a ratio at most 0")
+        raise ModelError(f"eps must lie in (0, 1], got {shown}")
     return eps
 
 

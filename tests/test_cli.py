@@ -183,6 +183,29 @@ def test_domain_error_exits_one(capsys, relation_file):
     assert code == 1
 
 
+def run_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()
+
+
+def test_non_utf8_file_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"space": {"n": 3}, "maps": [{"name": "\xff"}]}')
+    code, lines = run_error(capsys, ["cost", str(path)])
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not valid UTF-8")
+
+
+def test_huge_eps_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "eps": [1e5000]}')
+    code, lines = run_error(capsys, ["eps-curve", str(path)])
+    assert code == 1
+    assert lines == ["error: eps must lie in (0, 1], got a ratio above 1"]
+
+
 def test_text_and_json_are_both_deterministic(capsys, graphing_file, rotation_file):
     invocations = [
         ["cost", graphing_file],

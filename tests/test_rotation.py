@@ -1,15 +1,21 @@
-"""Rotation systems: hitting times against a walking oracle, path identities."""
+"""Rotation systems: shift views and hitting times against explicit oracles, path identities."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcost import (
     Arc,
+    FiniteSpace,
+    Graphing,
     ModelError,
+    PartialMap,
+    Relation,
     RotationSystem,
+    ShiftMapping,
     UnreachableArcError,
     connection_path,
     cost,
@@ -22,6 +28,47 @@ from orbitcost import (
     generates,
     is_treeing,
 )
+from orbitcost.files import dump_graphing
+
+
+def dict_full_graphing(sys):
+    """Oracle: every step as an explicit n-entry dict."""
+    space, n = sys.space, sys.n
+    return Graphing(space, [PartialMap(name, space, {x: (x + s) % n for x in range(n)})
+                            for name, s in sys.steps.items()])
+
+
+def dict_epsilon_graphing(sys, full_step, arc):
+    """Oracle: the full step as an n-entry dict, the others as dicts on the arc atoms."""
+    space, n = sys.space, sys.n
+    maps = []
+    for name, s in sys.steps.items():
+        sources = range(n) if name == full_step else arc.atoms(n)
+        maps.append(PartialMap(name, space, {x: (x + s) % n for x in sources}))
+    return Graphing(space, maps)
+
+
+def dict_relation(g):
+    """Oracle: the generated relation of the same maps copied into dicts."""
+    return generated_relation(Graphing(g.space, [PartialMap(m.name, g.space, dict(m.mapping))
+                                                 for m in g.maps]))
+
+
+def hit_by_inverse(n, step, x, arc):
+    """Oracle: solve each arc atom through the inverse of step/gcd, O(arc length)."""
+    step %= n
+    g = math.gcd(step, n)
+    span = n // g
+    inv = pow(step // g, -1, span) if span > 1 else 0
+    best = None
+    for t in arc.atoms(n):
+        d = (t - x) % n
+        if d % g:
+            continue
+        m = (d // g) * inv % span
+        if best is None or m < best:
+            best = m
+    return best
 
 
 def hit_by_walking(n, step, x, arc):
@@ -100,6 +147,108 @@ def test_hitting_time_matches_walking_oracle(n, step, x, start, length):
             first_hitting_time(n, step, x % n, arc)
     else:
         assert first_hitting_time(n, step, x % n, arc) == expected
+
+
+def test_shift_view_is_a_read_only_mapping():
+    view = ShiftMapping(10, -3, 8, 4)
+    assert len(view) == 4 and view.step == 7
+    assert list(view) == [8, 9, 0, 1]
+    assert dict(view) == {8: 5, 9: 6, 0: 7, 1: 8}
+    assert 9 in view and 2 not in view and -1 not in view and 10 not in view
+    with pytest.raises(KeyError):
+        view[2]
+    assert list(ShiftMapping(5, 1, 3, 0)) == []
+    for bad in ((0, 1, 0, 0), (5, 1, 5, 1), (5, 1, 0, 6), (5, 1, 0, -1)):
+        with pytest.raises(ModelError):
+            ShiftMapping(*bad)
+
+
+def test_partial_map_rejects_a_view_on_another_space():
+    with pytest.raises(ModelError, match="shift view on n=6"):
+        PartialMap("a", FiniteSpace(5), ShiftMapping(6, 1, 0, 6))
+
+
+def test_periodic_relation_lifts_its_base():
+    r = Relation.periodic(FiniteSpace(12), [0, 0, 2, 0])
+    assert r.parent == [0, 0, 2, 0] * 3
+    assert r.parent == Relation(FiniteSpace(12), r.parent).parent
+
+
+@pytest.mark.parametrize("n, base", [
+    (12, [0] * 5),       # 5 does not divide 12
+    (12, []),            # no period at all
+    (12, [0, 0, 1]),     # representative 1 is not its own representative
+    (12, [0, 2, 2]),     # representative above its atom
+    (12, [1, 1]),        # not the least atom of its class
+])
+def test_periodic_relation_rejections(n, base):
+    with pytest.raises(ModelError):
+        Relation.periodic(FiniteSpace(n), base)
+
+
+def assert_same_as_oracle(g, oracle, sys):
+    assert generated_relation(g).parent == generated_relation(oracle).parent
+    assert cost(g) == cost(oracle)
+    assert generates(g, expected_relation(sys)) == generates(oracle, expected_relation(sys))
+    assert dump_graphing(g) == dump_graphing(oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.lists(st.integers(-150, 150), min_size=2, max_size=4),
+       st.integers(0, 3), st.integers(0, 59), st.integers(0, 60))
+@example(12, [4, 6], 0, 11, 2)        # gcd(full, n) = 4, wrapping arc
+@example(12, [-8, 30, 5], 1, 0, 0)    # negative step, step >= n, empty arc
+@example(9, [3, 1], 0, 4, 9)          # arc covering all of Z/n
+@example(1, [0, 5], 1, 0, 1)          # a single atom
+def test_shift_views_match_dict_oracle(n, raw_steps, full, start, length):
+    sys = RotationSystem(n, {f"s{i}": s for i, s in enumerate(raw_steps)})
+    full_step = f"s{full % len(raw_steps)}"
+    arc = Arc(start % n, min(length, n))
+    assert_same_as_oracle(epsilon_graphing(sys, full_step, arc),
+                          dict_epsilon_graphing(sys, full_step, arc), sys)
+    assert_same_as_oracle(full_graphing(sys), dict_full_graphing(sys), sys)
+    assert expected_relation(sys).parent == generated_relation(dict_full_graphing(sys)).parent
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(0, 39), st.integers(0, 40), st.integers(0, 39), st.integers(0, 39))
+def test_mixed_view_and_dict_graphing_matches_oracle(n, s_full, s_arc, start, length, x, y):
+    # one view beside a dict map takes the general path
+    space = FiniteSpace(n)
+    g = Graphing(space, [PartialMap("full", space, ShiftMapping(n, s_full, 0, n)),
+                         PartialMap("arc", space, ShiftMapping(n, s_arc, start % n, min(length, n))),
+                         PartialMap("pair", space, {x % n: y % n})])
+    assert generated_relation(g).parent == dict_relation(g).parent
+    assert cost(g) == Fraction(n + min(length, n) + 1, n)
+
+
+@st.composite
+def big_rotations(draw):
+    """n up to 10**18 with arcs of 1 to 1000 atoms; half the steps share a large gcd with n."""
+    g = draw(st.integers(1, 10**9))
+    n = g * draw(st.integers(1, 10**9))
+    step = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        step = step // g * g  # gcd(step, n) >= g, so small arcs are often unreachable
+    x, start = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return n, step, x, start, draw(st.integers(1, min(1000, n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(big_rotations())
+@example((10**18, 2 * 10**17, 3, 5, 1000))     # unreachable: the arc misses the coset of 3
+@example((10**18, 999999999999999999, 0, 10**18 - 500, 1000))
+@example((10**18, 7, 0, 1, 0))                 # an empty arc is never entered
+def test_hitting_time_matches_inverse_oracle_at_scale(case):
+    n, step, x, start, length = case
+    arc = Arc(start, length)
+    expected = hit_by_inverse(n, step, x, arc)
+    if expected is None:
+        with pytest.raises(UnreachableArcError):
+            first_hitting_time(n, step, x, arc)
+    else:
+        assert first_hitting_time(n, step, x, arc) == expected
 
 
 def test_connection_path_example():
