@@ -7,6 +7,7 @@ in input files are read as their decimal text, never as binary floats.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +21,13 @@ class FormatError(ModelError):
 
 def fmt_rational(value) -> str:
     f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # str() of an int refuses more than sys.get_int_max_str_digits() digits
+        raise FormatError("a ratio whose numerator or denominator passes "
+                          f"{sys.get_int_max_str_digits()} digits cannot be printed") from None
 
 
 def parse_rational(text) -> Fraction:
@@ -63,6 +68,17 @@ def _load_json(path: str):
         raise FormatError(f"{path}: not valid UTF-8 ({e.reason})") from None
 
 
+def _load(path: str, build):
+    """Parse the JSON file at path with build, prefixing schema errors with the path."""
+    doc = _load_json(path)
+    try:
+        return build(doc)
+    except FormatError:
+        raise
+    except ModelError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelError(f"{what} must be an integer, got {value!r}")
@@ -77,13 +93,7 @@ def _expect(doc: dict, key: str, what: str):
 
 def load_graphing(path: str) -> Graphing:
     """Read a graphing file; see the README for the schema."""
-    doc = _load_json(path)
-    try:
-        return _build_graphing(doc)
-    except FormatError:
-        raise
-    except ModelError as e:
-        raise FormatError(f"{path}: {e}") from None
+    return _load(path, _build_graphing)
 
 
 def _build_graphing(doc) -> Graphing:
@@ -141,11 +151,7 @@ def _rotation_domain(domain, n: int, name: str):
 
 def dump_graphing(g: Graphing) -> dict:
     """Schema form with explicit pairs; shorthand is an input convenience only."""
-    return {
-        "space": {"n": g.space.n},
-        "maps": [{"name": m.name, "pairs": [[x, y] for x, y in m.pairs()]}
-                 for m in g.maps],
-    }
+    return {"space": {"n": g.space.n}, "maps": [dump_map(m) for m in g.maps]}
 
 
 def dump_map(m: PartialMap) -> dict:
@@ -154,22 +160,20 @@ def dump_map(m: PartialMap) -> dict:
 
 def load_relation(path: str) -> Relation:
     """Read {"n": N, "classes": [[...], ...]}; unlisted atoms become singletons."""
-    doc = _load_json(path)
-    try:
-        n = _as_int(_expect(doc, "n", "the atom count"), "n")
-        raw = _expect(doc, "classes", "a list of atom lists")
-        if not isinstance(raw, list):
-            raise ModelError("classes must be a list of atom lists")
-        groups = []
-        for k, group in enumerate(raw):
-            if not isinstance(group, list) or not group:
-                raise ModelError(f"classes[{k}] must be a nonempty atom list")
-            groups.append([_as_int(x, f"classes[{k}] member") for x in group])
-        return Relation.from_classes(FiniteSpace(n), groups)
-    except FormatError:
-        raise
-    except ModelError as e:
-        raise FormatError(f"{path}: {e}") from None
+    return _load(path, _build_relation)
+
+
+def _build_relation(doc) -> Relation:
+    n = _as_int(_expect(doc, "n", "the atom count"), "n")
+    raw = _expect(doc, "classes", "a list of atom lists")
+    if not isinstance(raw, list):
+        raise ModelError("classes must be a list of atom lists")
+    groups = []
+    for k, group in enumerate(raw):
+        if not isinstance(group, list) or not group:
+            raise ModelError(f"classes[{k}] must be a nonempty atom list")
+        groups.append([_as_int(x, f"classes[{k}] member") for x in group])
+    return Relation.from_classes(FiniteSpace(n), groups)
 
 
 def dump_relation(r: Relation) -> dict:
@@ -196,24 +200,22 @@ class SchreierDoc:
 
 def load_schreier(path: str) -> SchreierDoc:
     """Read {"factors": [...], "indices": [...], "seed": ...}."""
-    doc = _load_json(path)
-    try:
-        raw_factors = _expect(doc, "factors", "a list of factor orders")
-        if not isinstance(raw_factors, list):
-            raise ModelError("factors must be a list of integers")
-        factors = tuple(_as_int(m, "factor order") for m in raw_factors)
-        raw_indices = _expect(doc, "indices", "a list of indices")
-        if not isinstance(raw_indices, list):
-            raise ModelError("indices must be a list of integers")
-        indices = [_as_int(i, "index") for i in raw_indices]
-        seed = None
-        if "seed" in doc:
-            seed = _as_int(doc["seed"], "seed")
-        return SchreierDoc(factors, indices, seed)
-    except FormatError:
-        raise
-    except ModelError as e:
-        raise FormatError(f"{path}: {e}") from None
+    return _load(path, _build_schreier)
+
+
+def _build_schreier(doc) -> SchreierDoc:
+    raw_factors = _expect(doc, "factors", "a list of factor orders")
+    if not isinstance(raw_factors, list):
+        raise ModelError("factors must be a list of integers")
+    factors = tuple(_as_int(m, "factor order") for m in raw_factors)
+    raw_indices = _expect(doc, "indices", "a list of indices")
+    if not isinstance(raw_indices, list):
+        raise ModelError("indices must be a list of integers")
+    indices = [_as_int(i, "index") for i in raw_indices]
+    seed = None
+    if "seed" in doc:
+        seed = _as_int(doc["seed"], "seed")
+    return SchreierDoc(factors, indices, seed)
 
 
 @dataclass
@@ -228,28 +230,26 @@ class RotationDoc:
 
 def load_rotation(path: str) -> RotationDoc:
     """Read {"n": ..., "steps": {...}, "full": ..., "eps": [...], "arc": [...]}."""
-    doc = _load_json(path)
-    try:
-        n = _as_int(_expect(doc, "n", "the atom count"), "n")
-        steps_doc = _expect(doc, "steps", "an object of named step sizes")
-        if not isinstance(steps_doc, dict) or not steps_doc:
-            raise ModelError("steps must be a nonempty object of named integers")
-        steps = {name: _as_int(s, f"step {name!r}") for name, s in steps_doc.items()}
-        system = RotationSystem(n, steps)
-        full = doc.get("full")
-        if full is not None:
-            if not isinstance(full, str) or full not in steps:
-                raise ModelError(f"full must name one of the steps, got {full!r}")
-        eps = [parse_rational(v) for v in doc.get("eps", [])]
-        arc = None
-        if "arc" in doc:
-            raw = doc["arc"]
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise ModelError("arc must be a [start, length] pair")
-            arc = Arc(_as_int(raw[0], "arc start"), _as_int(raw[1], "arc length"))
-            arc.check(n)
-        return RotationDoc(system, full, eps, arc)
-    except FormatError:
-        raise
-    except ModelError as e:
-        raise FormatError(f"{path}: {e}") from None
+    return _load(path, _build_rotation)
+
+
+def _build_rotation(doc) -> RotationDoc:
+    n = _as_int(_expect(doc, "n", "the atom count"), "n")
+    steps_doc = _expect(doc, "steps", "an object of named step sizes")
+    if not isinstance(steps_doc, dict) or not steps_doc:
+        raise ModelError("steps must be a nonempty object of named integers")
+    steps = {name: _as_int(s, f"step {name!r}") for name, s in steps_doc.items()}
+    system = RotationSystem(n, steps)
+    full = doc.get("full")
+    if full is not None:
+        if not isinstance(full, str) or full not in steps:
+            raise ModelError(f"full must name one of the steps, got {full!r}")
+    eps = [parse_rational(v) for v in doc.get("eps", [])]
+    arc = None
+    if "arc" in doc:
+        raw = doc["arc"]
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ModelError("arc must be a [start, length] pair")
+        arc = Arc(_as_int(raw[0], "arc start"), _as_int(raw[1], "arc length"))
+        arc.check(n)
+    return RotationDoc(system, full, eps, arc)

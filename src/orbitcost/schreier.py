@@ -18,7 +18,6 @@ from .relcore import ModelError
 from .unionfind import UnionFind
 
 MAX_ATTEMPTS = 10_000
-MODEL_ATOM_CAP = 10_000
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -82,19 +81,6 @@ def group_invariants(spec: GroupSpec) -> GroupInvariants:
 def _check_permutation(perm, index: int):
     if len(perm) != index or sorted(perm) != list(range(index)):
         raise ModelError(f"each factor needs a permutation of 0..{index - 1}")
-
-
-def _cycle_count(perm) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for x in range(len(perm)):
-        if seen[x]:
-            continue
-        count += 1
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-    return count
 
 
 def _cycle_lengths(perm) -> list[int]:
@@ -193,18 +179,17 @@ def subgroup_rank(act: PermAction) -> int:
     edges per factor, i/m sheets regained per torsion factor) and once as
     the cycle rank of the contracted coset multigraph, where each torsion
     cycle leaves a path of length one less and each infinite factor
-    contributes i edges.  The two counts must agree.
+    contributes i edges.  The two counts must agree.  PermAction has already
+    checked that the action is transitive.
     """
     i = act.index
-    if not _transitive(act.perms, i):
-        raise ModelError("rank needs a transitive action")
     orders = act.spec.factor_orders
     chi = i - len(orders) * i + sum(i // m for m in orders if m)
     by_euler = 1 - chi
     edges = 0
     for order, perm in zip(orders, act.perms):
         if order:
-            edges += i - _cycle_count(perm)
+            edges += i - len(_cycle_lengths(perm))
         else:
             edges += i
     by_graph = edges - i + 1
@@ -226,7 +211,8 @@ def rank_gradient(spec: GroupSpec, indices, seed: int, samples: int = 1) -> list
 
     For transitive free-at-torsion actions every row lands exactly on the
     predicted first Betti value; the match flag records the comparison
-    rather than assuming it.
+    rather than assuming it.  An empty index list is an error, not an empty
+    table.
     """
     if samples < 1:
         raise ModelError(f"samples must be positive, got {samples}")
@@ -238,6 +224,8 @@ def rank_gradient(spec: GroupSpec, indices, seed: int, samples: int = 1) -> list
             p = subgroup_rank(act)
             grad = Fraction(p - 1, index)
             rows.append(GradientRow(index, p, grad, grad == beta1))
+    if not rows:
+        raise ModelError("rank gradient needs at least one index")
     return rows
 
 
@@ -251,18 +239,15 @@ def compression_check(spec: GroupSpec, index: int, seed: int) -> tuple[Fraction,
 def _modeled_factor_cost(order: int) -> Fraction:
     """Re-price one factor through the finite relation calculus.
 
-    A finite order m is the minimal cost of a relation whose classes all
-    have m atoms; the infinite factor is the cost of the single full map
-    cycling one class.
+    A finite order m is the minimal cost of the one-class relation on m
+    atoms; the infinite factor is the cost of the single full map cycling
+    one atom.  Costs are normalised by n, so more atoms or more classes of
+    the same size give the same value.
     """
+    space = relcore.FiniteSpace(order or 1)
+    rel = relcore.Relation(space, [0] * space.n)
     if order == 0:
-        space = relcore.FiniteSpace(MODEL_ATOM_CAP)
-        rel = relcore.Relation(space, [0] * MODEL_ATOM_CAP)
-        psi = relcore.single_full_generator(rel)
-        return relcore.cost(relcore.Graphing(space, [psi]))
-    n = order * (MODEL_ATOM_CAP // order)
-    space = relcore.FiniteSpace(n)
-    rel = relcore.Relation(space, [x - x % order for x in range(n)])
+        return relcore.cost(relcore.Graphing(space, [relcore.single_full_generator(rel)]))
     return relcore.min_cost(rel)
 
 

@@ -229,3 +229,184 @@ def test_subprocess_matches_in_process(capsys, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == inner
+
+
+# Exact reports pinned from the previous release, so a byte change between
+# versions fails here and not only between two runs of the same code.
+GOLDEN_STDOUT = [
+    (["coincidence", "--specs", "2,3;0,0;2,2", "--seed", "2"], """\
+command: coincidence
+rows:
+  factors  rank  predicted_cost  beta1  index  measured_cost  factor_costs  modeled_costs  match
+  2,3      2     7/6             1/6    120    7/6            1/2,2/3       1/2,2/3        true
+  0,0      2     2               1      120    2              1,1           1,1            true
+  2,2      2     1               0      120    1              1/2,1/2       1/2,1/2        true
+all_match: true
+"""),
+    (["coincidence", "--specs", "0;3,0", "--max-index", "12", "--format", "json"], """\
+{
+  "all_match": true,
+  "command": "coincidence",
+  "rows": [
+    {
+      "beta1": "0",
+      "factor_costs": "1",
+      "factors": "0",
+      "index": 12,
+      "match": true,
+      "measured_cost": "1",
+      "modeled_costs": "1",
+      "predicted_cost": "1",
+      "rank": 1
+    },
+    {
+      "beta1": "2/3",
+      "factor_costs": "2/3,1",
+      "factors": "3,0",
+      "index": 12,
+      "match": true,
+      "measured_cost": "5/3",
+      "modeled_costs": "2/3,1",
+      "predicted_cost": "5/3",
+      "rank": 2
+    }
+  ]
+}
+"""),
+    (["rank-gradient", "--factors", "2,3", "--indices", "6:18:6", "--seed", "5"], """\
+command: rank-gradient
+factors: 2,3
+beta1: 1/6
+rows:
+  index  rank  gradient  beta1  match
+  6      2     1/6       1/6    true
+  12     3     1/6       1/6    true
+  18     4     1/6       1/6    true
+all_match: true
+"""),
+    (["schreier-rank", "--factors", "0,0,2", "--index", "8", "--seed", "11"], """\
+command: schreier-rank
+factors: 0,0,2
+index: 8
+rank: 13
+"""),
+    (["invariants", "{small}"], """\
+command: invariants
+cost: 2/3
+nu: 2/3
+min_cost: 1/2
+reduced_cost: 1/2
+brute_min_cost: 1/2
+checks:
+  cost_ge_nu: true
+  nu_ge_min_cost: true
+  reduced_is_treeing: true
+  reduced_generates: true
+  reduced_cost_is_min: true
+  spanning_cost_is_min: true
+  transversal_identity: true
+  brute_force_agrees: true
+ok: true
+"""),
+    (["invariants", "{small}", "--edge-budget", "1"], """\
+command: invariants
+cost: 2/3
+nu: 2/3
+min_cost: 1/2
+reduced_cost: 1/2
+brute_min_cost: null
+checks:
+  cost_ge_nu: true
+  nu_ge_min_cost: true
+  reduced_is_treeing: true
+  reduced_generates: true
+  reduced_cost_is_min: true
+  spanning_cost_is_min: true
+  transversal_identity: true
+ok: true
+"""),
+    (["reduce", "{graphing}"], """\
+command: reduce
+cost: 9/10
+is_treeing: true
+graphing:
+  space: {"n": 10}
+  maps: [{"name": "a", "pairs": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8], [8, 9]]}, {"name": "b", "pairs": []}]
+"""),
+    (["single-gen", "{relation}"], """\
+command: single-gen
+cost: 1
+map:
+  name: cycles
+  pairs: [[0, 1], [1, 3], [2, 2], [3, 0], [4, 4]]
+"""),
+    (["eps-curve", "{rotation}"], """\
+command: eps-curve
+rows:
+  eps     arc_len  cost       generates
+  1/10    100      11/10      true
+  1/100   10       101/100    true
+  1/1000  1        1001/1000  true
+infimum: 1
+"""),
+]
+
+
+@pytest.fixture
+def golden_files(tmp_path, graphing_file, rotation_file):
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"space": {"n": 6}, "maps": [
+        {"name": "a", "pairs": [[0, 1], [1, 2]]}, {"name": "b", "pairs": [[3, 4], [2, 0]]}]}))
+    relation = tmp_path / "r5.json"
+    relation.write_text(json.dumps({"n": 5, "classes": [[0, 3, 1]]}))
+    return {"small": str(small), "graphing": graphing_file,
+            "rotation": rotation_file, "relation": str(relation)}
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, golden_files, argv, expected):
+    code = main([a.format(**golden_files) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["cost"], {"space": {"n": 3}}, "{path}: missing 'maps' (a list of map objects)"),
+    (["min-cost"], {"n": 3}, "{path}: missing 'classes' (a list of atom lists)"),
+    (["rank-gradient"], {"factors": [2], "indices": "x"},
+     "{path}: indices must be a list of integers"),
+    (["eps-curve"], {"n": 10, "steps": {}},
+     "{path}: steps must be a nonempty object of named integers"),
+    (["eps-curve"], {"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "eps": ["x"]},
+     "cannot read 'x' as an exact ratio"),
+])
+def test_golden_loader_errors(capsys, tmp_path, argv, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, lines = run_error(capsys, argv + [str(path)])
+    assert (code, lines) == (1, ["error: " + message.format(path=path)])
+
+
+def test_tiny_eps_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text('{"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "eps": ["1e-5000"]}')
+    code, lines = run_error(capsys, ["eps-curve", str(path)])
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith("digits cannot be printed")
+
+
+def test_coincidence_above_ten_thousand_atoms(capsys):
+    report = run_json(capsys, ["coincidence", "--specs", "10007", "--max-index", "10007"])
+    assert report["rows"][0]["modeled_costs"] == "10006/10007"
+    assert report["all_match"] is True
+
+
+def test_rank_gradient_rejects_empty_indices(capsys, tmp_path):
+    code, lines = run_error(capsys, ["rank-gradient", "--factors", "2,3", "--indices", "6:3"])
+    assert (code, lines) == (1, ["error: rank gradient needs at least one index"])
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"factors": [2, 3], "indices": []}))
+    code, lines = run_error(capsys, ["rank-gradient", str(path)])
+    assert (code, lines) == (1, ["error: rank gradient needs at least one index"])

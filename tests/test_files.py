@@ -33,6 +33,11 @@ def test_rational_formatting():
     assert fmt_rational(0) == "0"
 
 
+def test_rational_formatting_refuses_unprintable_ratios():
+    with pytest.raises(FormatError, match="cannot be printed"):
+        fmt_rational(Fraction(1, 10 ** 5000))
+
+
 def test_rational_parsing():
     assert parse_rational("7/2") == Fraction(7, 2)
     assert parse_rational("5") == 5

@@ -20,6 +20,8 @@ from orbitcost import (
     sample_free_action,
     subgroup_rank,
 )
+from orbitcost import relcore
+from orbitcost.schreier import _modeled_factor_cost
 
 
 def cycle_lengths(perm):
@@ -175,6 +177,12 @@ def test_rank_gradient_vanishes_for_infinite_dihedral():
     assert all(row.rank == 1 for row in rows)
 
 
+@pytest.mark.parametrize("indices", [[], range(6, 3)])
+def test_rank_gradient_rejects_an_empty_index_list(indices):
+    with pytest.raises(ModelError, match="at least one index"):
+        rank_gradient(GroupSpec((2, 3)), indices, 0)
+
+
 def test_rank_gradient_resampling_exercises_the_invariant():
     rows = rank_gradient(GroupSpec((0, 0)), [5], 11, samples=4)
     assert len(rows) == 4
@@ -221,3 +229,26 @@ def test_coincidence_lone_torsion_factor_uses_its_order():
 def test_coincidence_rejects_oversized_torsion():
     with pytest.raises(ModelError):
         coincidence_report([(7, 11)], 10, 0)
+
+
+def test_coincidence_prices_an_order_above_ten_thousand():
+    row = coincidence_report([(10007,)], 10007, 0)[0]
+    assert row.modeled_factor_costs == (Fraction(10006, 10007),)
+    assert row.match
+
+
+def many_class_factor_cost(order, atoms):
+    """Re-price a factor on as many classes of its size as fit in atoms."""
+    if order == 0:
+        space = relcore.FiniteSpace(atoms)
+        psi = relcore.single_full_generator(relcore.Relation(space, [0] * atoms))
+        return relcore.cost(relcore.Graphing(space, [psi]))
+    n = order * (atoms // order)
+    rel = relcore.Relation(relcore.FiniteSpace(n), [x - x % order for x in range(n)])
+    return relcore.min_cost(rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0]) | st.integers(2, 300), st.integers(300, 2000))
+def test_modeled_factor_cost_matches_many_class_oracle(order, atoms):
+    assert _modeled_factor_cost(order) == many_class_factor_cost(order, atoms) == factor_cost(order)
