@@ -278,13 +278,14 @@ def cmd_invariants(ns) -> dict:
     r = relcore.generated_relation(g)
     floor = relcore.min_cost(r)
     reduced = relcore.reduce_to_treeing(g)
+    reduced_cost = relcore.cost(reduced)
     spanning = relcore.spanning_treeing(r)
     checks = {
         "cost_ge_nu": total >= nu,
         "nu_ge_min_cost": nu >= floor,
         "reduced_is_treeing": relcore.is_treeing(reduced),
         "reduced_generates": relcore.generates(reduced, r),
-        "reduced_cost_is_min": relcore.cost(reduced) == floor,
+        "reduced_cost_is_min": reduced_cost == floor,
         "spanning_cost_is_min": relcore.cost(spanning) == floor,
         "transversal_identity": floor == 1 - relcore.transversal(r).measure,
     }
@@ -297,7 +298,7 @@ def cmd_invariants(ns) -> dict:
             "cost": _frac(total),
             "nu": _frac(nu),
             "min_cost": _frac(floor),
-            "reduced_cost": _frac(relcore.cost(reduced)),
+            "reduced_cost": _frac(reduced_cost),
             "brute_min_cost": None if brute is None else _frac(brute),
             "checks": checks,
             "ok": all(checks.values())}

@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .relcore import FiniteSpace, Graphing, ModelError, PartialMap, Relation, Subset
+from .relcore import FiniteSpace, Graphing, ModelError, PartialMap, Relation, ShiftMapping, Subset
 from .rotation import Arc, RotationSystem
 
 
@@ -116,9 +116,7 @@ def _build_graphing(doc) -> Graphing:
             maps.append(PartialMap.from_pairs(name, space, _read_pairs(entry["pairs"], name)))
         else:
             s = _as_int(entry["rotation"], f"map {name!r} rotation")
-            sources = _rotation_domain(entry.get("domain", "all"), n, name)
-            maps.append(PartialMap.from_pairs(name, space,
-                                              ((x, (x + s) % n) for x in sources)))
+            maps.append(_rotation_map(name, space, s, entry.get("domain", "all")))
     return Graphing(space, maps)
 
 
@@ -134,19 +132,26 @@ def _read_pairs(raw, name: str):
     return out
 
 
-def _rotation_domain(domain, n: int, name: str):
+def _rotation_map(name: str, space: FiniteSpace, s: int, domain) -> PartialMap:
+    n = space.n
     if domain == "all":
-        return range(n)
+        return PartialMap(name, space, ShiftMapping(n, s, 0, n))
     if isinstance(domain, dict) and "arc" in domain:
-        raw = domain["arc"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ModelError(f"map {name!r}: an arc domain is a [start, length] pair")
-        arc = Arc(_as_int(raw[0], "arc start"), _as_int(raw[1], "arc length"))
-        arc.check(n)
-        return arc.atoms(n)
+        arc = _read_arc(domain["arc"], n, f"map {name!r}: an arc domain is a [start, length] pair")
+        return PartialMap(name, space, ShiftMapping(n, s, arc.start, arc.length))
     if isinstance(domain, list):
-        return [_as_int(x, f"map {name!r} domain atom") for x in domain]
+        sources = [_as_int(x, f"map {name!r} domain atom") for x in domain]
+        return PartialMap.from_pairs(name, space, ((x, (x + s) % n) for x in sources))
     raise ModelError(f'map {name!r}: domain must be "all", an arc object or an atom list')
+
+
+def _read_arc(raw, n: int, shape_error: str) -> Arc:
+    """A JSON [start, length] pair as an Arc checked against n; shape_error names the field."""
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ModelError(shape_error)
+    arc = Arc(_as_int(raw[0], "arc start"), _as_int(raw[1], "arc length"))
+    arc.check(n)
+    return arc
 
 
 def dump_graphing(g: Graphing) -> dict:
@@ -247,9 +252,5 @@ def _build_rotation(doc) -> RotationDoc:
     eps = [parse_rational(v) for v in doc.get("eps", [])]
     arc = None
     if "arc" in doc:
-        raw = doc["arc"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ModelError("arc must be a [start, length] pair")
-        arc = Arc(_as_int(raw[0], "arc start"), _as_int(raw[1], "arc length"))
-        arc.check(n)
+        arc = _read_arc(doc["arc"], n, "arc must be a [start, length] pair")
     return RotationDoc(system, full, eps, arc)

@@ -153,13 +153,19 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
 
     Each (factor, attempt) pair gets its own stream derived from the master
     seed, so the result depends only on (spec, index, seed).  Gives up after
-    MAX_ATTEMPTS rejections.
+    MAX_ATTEMPTS rejections, or before the first draw where no action can be
+    transitive: a lone order-m factor has index/m cycles, so only index m works.
     """
     if index < 1:
         raise ModelError(f"index must be positive, got {index}")
-    for order in spec.factor_orders:
+    orders = spec.factor_orders
+    for order in orders:
         if order and index % order:
             raise ModelError(f"factor order {order} does not divide the index {index}")
+    if len(orders) == 1 and orders[0] and index != orders[0]:
+        raise ModelError(
+            f"no transitive action exists for orders {list(orders)} at index {index}: "
+            f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
     for attempt in range(MAX_ATTEMPTS):
         perms = [
             _sample_factor_perm(order, index, random.Random(derive_seed(seed, j, attempt)))

@@ -380,6 +380,15 @@ def test_golden_stdout(capsys, golden_files, argv, expected):
      "{path}: steps must be a nonempty object of named integers"),
     (["eps-curve"], {"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "eps": ["x"]},
      "cannot read 'x' as an exact ratio"),
+    (["cost"], {"space": {"n": 10}, "maps": [{"name": "b", "rotation": 3, "domain": {"arc": [0]}}]},
+     "{path}: map 'b': an arc domain is a [start, length] pair"),
+    (["cost"], {"space": {"n": 10},
+                "maps": [{"name": "b", "rotation": 3, "domain": {"arc": [11, 2]}}]},
+     "{path}: arc start 11 outside 0..9"),
+    (["eps-curve"], {"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "arc": [1]},
+     "{path}: arc must be a [start, length] pair"),
+    (["eps-curve"], {"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "arc": [11, 1]},
+     "{path}: arc start 11 outside 0..9"),
 ])
 def test_golden_loader_errors(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "bad.json"
@@ -401,6 +410,12 @@ def test_coincidence_above_ten_thousand_atoms(capsys):
     report = run_json(capsys, ["coincidence", "--specs", "10007", "--max-index", "10007"])
     assert report["rows"][0]["modeled_costs"] == "10006/10007"
     assert report["all_match"] is True
+
+
+def test_lone_torsion_factor_at_another_index_is_one_error_line(capsys):
+    code, lines = run_error(capsys, ["rank-gradient", "--factors", "2", "--indices", "4"])
+    assert (code, lines) == (1, ["error: no transitive action exists for orders [2] at index 4: "
+                                 "a lone order-2 factor acts transitively only at index 2"])
 
 
 def test_rank_gradient_rejects_empty_indices(capsys, tmp_path):

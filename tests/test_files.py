@@ -1,10 +1,26 @@
 """File schemas: round trips, shorthand expansion, diagnostics."""
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from orbitcost import FiniteSpace, Graphing, PartialMap, Relation
+from orbitcost import (
+    FiniteSpace,
+    Graphing,
+    ModelError,
+    PartialMap,
+    Relation,
+    ShiftMapping,
+    Subset,
+    relcore,
+)
+from orbitcost.cli import main
 from orbitcost.files import (
     FormatError,
     dump_graphing,
@@ -77,6 +93,97 @@ def test_rotation_shorthand_expands(tmp_path):
     assert g.map_named("a").pairs() == [(0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (5, 1)]
     assert g.map_named("b").pairs() == [(0, 1), (4, 5), (5, 0)]
     assert g.map_named("c").pairs() == [(1, 0), (3, 2)]
+    assert isinstance(g.map_named("a").mapping, ShiftMapping)
+    assert isinstance(g.map_named("b").mapping, ShiftMapping)
+    assert type(g.map_named("c").mapping) is dict
+
+
+@st.composite
+def shorthand_graphings(draw):
+    """A graphing file of "rotation" maps, plus a nonempty subset for first returns."""
+    n = draw(st.integers(1, 12))
+    maps = []
+    for k in range(draw(st.integers(1, 3))):
+        entry = {"name": f"m{k}", "rotation": draw(st.integers(-2 * n, 2 * n))}
+        kind = draw(st.sampled_from(["default", "all", "arc", "atoms"]))
+        if kind == "all":
+            entry["domain"] = "all"
+        elif kind == "arc":
+            length = draw(st.sampled_from([0, n]) | st.integers(0, n))
+            entry["domain"] = {"arc": [draw(st.integers(0, n - 1)), length]}
+        elif kind == "atoms":
+            entry["domain"] = draw(st.lists(st.integers(0, n - 1), unique=True))
+        maps.append(entry)
+    members = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return {"space": {"n": n}, "maps": maps}, sorted(members)
+
+
+def explicit_twin(doc):
+    """The same graphing with every map written out as explicit pairs."""
+    n = doc["space"]["n"]
+    maps = []
+    for entry in doc["maps"]:
+        domain = entry.get("domain", "all")
+        if domain == "all":
+            sources = range(n)
+        elif isinstance(domain, dict):
+            start, length = domain["arc"]
+            sources = [(start + i) % n for i in range(length)]
+        else:
+            sources = domain
+        maps.append({"name": entry["name"],
+                     "pairs": [[x, (x + entry["rotation"]) % n] for x in sources]})
+    return {"space": doc["space"], "maps": maps}
+
+
+def outcome(f):
+    try:
+        return f()
+    except ModelError as e:
+        return f"error: {e}"
+
+
+def cli_outcome(argv, path):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + [path])
+    return code, out.getvalue(), err.getvalue().replace(path, "FILE")
+
+
+@settings(max_examples=60, deadline=None)
+@given(shorthand_graphings())
+@example(({"space": {"n": 6}, "maps": [
+    {"name": "m0", "rotation": -1, "domain": "all"},
+    {"name": "m1", "rotation": 7, "domain": {"arc": [4, 3]}},
+    {"name": "m2", "rotation": 2, "domain": {"arc": [2, 0]}}]}, [0, 3, 5]))
+@example(({"space": {"n": 5}, "maps": [
+    {"name": "m0", "rotation": 2, "domain": {"arc": [3, 5]}},
+    {"name": "m1", "rotation": -6, "domain": [4, 0, 2]},
+    {"name": "m2", "rotation": 5}]}, [1, 2]))
+@example(({"space": {"n": 1}, "maps": [{"name": "m0", "rotation": 3, "domain": "all"}]}, [0]))
+def test_rotation_shorthand_matches_explicit_pairs(case):
+    doc, members = case
+    with tempfile.TemporaryDirectory() as tmp:
+        short = write(Path(tmp), "short.json", doc)
+        pairs = write(Path(tmp), "pairs.json", explicit_twin(doc))
+        g, h = load_graphing(short), load_graphing(pairs)
+        assert [m.pairs() for m in g.maps] == [m.pairs() for m in h.maps]
+        assert relcore.cost(g) == relcore.cost(h)
+        assert (relcore.nu_measure(relcore.to_edge_set(g))
+                == relcore.nu_measure(relcore.to_edge_set(h)))
+        assert relcore.generated_relation(g).parent == relcore.generated_relation(h).parent
+        assert relcore.is_treeing(g) == relcore.is_treeing(h)
+        assert (dump_graphing(relcore.reduce_to_treeing(g))
+                == dump_graphing(relcore.reduce_to_treeing(h)))
+        subset = Subset(g.space, frozenset(members))
+        for m, twin in zip(g.maps, h.maps):
+            ours = outcome(lambda: relcore.first_return_map(m, subset).pairs())
+            assert ours == outcome(lambda: relcore.first_return_map(twin, subset).pairs())
+        flags = ["--members", ",".join(map(str, members))]
+        for argv in (["cost"], ["nu"], ["treeing"], ["reduce"], ["invariants"],
+                     ["invariants", "--format", "json"], ["reduce", "--format", "json"],
+                     ["first-return", "--map", "m0"] + flags, ["first-return"] + flags):
+            assert cli_outcome(argv, short) == cli_outcome(argv, pairs)
 
 
 def test_graphing_diagnostics_name_map_and_atom(tmp_path):

@@ -20,7 +20,7 @@ from orbitcost import (
     sample_free_action,
     subgroup_rank,
 )
-from orbitcost import relcore
+from orbitcost import relcore, schreier
 from orbitcost.schreier import _modeled_factor_cost
 
 
@@ -122,6 +122,22 @@ def test_sampling_gives_up_when_transitivity_is_impossible():
     # a lone order-2 factor can never walk across four cosets
     with pytest.raises(ModelError, match="no transitive action"):
         sample_free_action(GroupSpec((2,)), 4, 0)
+
+
+def test_lone_torsion_factor_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sampled a permutation")
+
+    monkeypatch.setattr(schreier, "_sample_factor_perm", no_draws)
+    with pytest.raises(ModelError, match="lone order-3 factor acts transitively only at index 3"):
+        sample_free_action(GroupSpec((3,)), 9, 0)
+
+
+def test_sampling_gives_up_after_max_attempts(monkeypatch):
+    # a lone infinite factor is transitive on 1000 cosets once in 1000 draws
+    monkeypatch.setattr(schreier, "MAX_ATTEMPTS", 2)
+    with pytest.raises(ModelError, match="no transitive action found in 2 attempts"):
+        sample_free_action(GroupSpec((0,)), 1000, 0)
 
 
 def test_single_infinite_factor_finds_a_cycle():
