@@ -239,9 +239,6 @@ class Relation:
             groups.setdefault(r, []).append(x)
         return [groups[r] for r in sorted(groups)]
 
-    def same_class(self, x: int, y: int) -> bool:
-        return self.parent[x] == self.parent[y]
-
 
 @dataclass(frozen=True)
 class Subset:
@@ -302,28 +299,27 @@ def nu_measure(edges: EdgeSet) -> Fraction:
 def generated_relation(g: Graphing) -> Relation:
     """Smallest equivalence relation joining every source to its target.
 
-    When every map is a ShiftMapping the work runs on Z/p, where p is the gcd
-    of n and the steps of the full-domain views.  Those views alone have the
-    residue classes mod p as orbits, so each partial view only joins x mod p
-    to (x + step) mod p, and its first p atoms already meet every residue it
-    can.  The result is lifted back with Relation.periodic.
+    The work runs on Z/p, p = gcd(n, steps of the full-domain ShiftMapping
+    views).  Those views alone have the residue classes mod p as orbits, so
+    every other entry only joins x mod p to y mod p: each pair of a dict map,
+    and the first min(length, p) sources of a partial view, read by
+    arithmetic, which already meet every residue it can.  With no full view
+    p = gcd(n) = n, so a dict-only graphing is plain union-find on the atoms.
+    The result is lifted back with Relation.periodic.
     """
-    views = [m.mapping for m in g.maps]
-    if all(isinstance(v, ShiftMapping) for v in views):
-        n = g.space.n
-        p = math.gcd(n, *(v.step for v in views if v.length == n))
-        uf = UnionFind(p)
-        for v in views:
-            if v.length < n:
-                for x in range(v.start, v.start + min(v.length, p)):
-                    uf.union(x % p, (x + v.step) % p)
-        return Relation.periodic(g.space, uf.canonical())
-    uf = UnionFind(g.space.n)
+    n = g.space.n
+    maps = [m.mapping for m in g.maps]
+    p = math.gcd(n, *(m.step for m in maps if isinstance(m, ShiftMapping) and m.length == n))
+    uf = UnionFind(p)
     union = uf.union
-    for m in g.maps:
-        for x, y in m.mapping.items():
-            union(x, y)
-    return Relation(g.space, uf.canonical())
+    for m in maps:
+        if not isinstance(m, ShiftMapping):
+            for x, y in m.items():
+                union(x % p, y % p)
+        elif m.length < n:
+            for x in range(m.start, m.start + min(m.length, p)):
+                union(x % p, (x + m.step) % p)
+    return Relation.periodic(g.space, uf.canonical())
 
 
 def generates(g: Graphing, r: Relation) -> bool:

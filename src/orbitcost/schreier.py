@@ -152,9 +152,10 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     """Draw per-factor permutations until the action is transitive.
 
     Each (factor, attempt) pair gets its own stream derived from the master
-    seed, so the result depends only on (spec, index, seed).  Gives up after
-    MAX_ATTEMPTS rejections, or before the first draw where no action can be
-    transitive: a lone order-m factor has index/m cycles, so only index m works.
+    seed, so the result depends only on (spec, index, seed).  A lone factor
+    is transitive only as one index-cycle, so it draws one and never rejects
+    (a lone order-m factor is refused before any draw unless index is m).
+    Several factors give up after MAX_ATTEMPTS rejections.
     """
     if index < 1:
         raise ModelError(f"index must be positive, got {index}")
@@ -166,10 +167,12 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
         raise ModelError(
             f"no transitive action exists for orders {list(orders)} at index {index}: "
             f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
+    lone = len(orders) == 1
     for attempt in range(MAX_ATTEMPTS):
         perms = [
-            _sample_factor_perm(order, index, random.Random(derive_seed(seed, j, attempt)))
-            for j, order in enumerate(spec.factor_orders)
+            _sample_factor_perm(index if lone else order, index,
+                                random.Random(derive_seed(seed, j, attempt)))
+            for j, order in enumerate(orders)
         ]
         if _transitive(perms, index):
             return PermAction(spec, index, perms)

@@ -26,9 +26,6 @@ class UnionFind:
         self.components -= 1
         return True
 
-    def joined(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
     def canonical(self) -> list[int]:
         """Per-atom representative array; representative = least atom of the component."""
         find = self.find

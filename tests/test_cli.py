@@ -290,6 +290,13 @@ factors: 0,0,2
 index: 8
 rank: 13
 """),
+    # a lone infinite factor draws one 4000-cycle instead of rejecting ~4000 times
+    (["schreier-rank", "--factors", "0", "--index", "4000"], """\
+command: schreier-rank
+factors: 0
+index: 4000
+rank: 1
+"""),
     (["invariants", "{small}"], """\
 command: invariants
 cost: 2/3
@@ -349,6 +356,40 @@ rows:
   1/1000  1        1001/1000  true
 infimum: 1
 """),
+    # a full view whose step shares gcd 4 with n beside a pairs map
+    (["gen-check", "{mixed}", "{mixed_classes}"], """\
+command: gen-check
+generates: true
+"""),
+    (["gen-check", "{mixed}", "{one_class}"], """\
+command: gen-check
+generates: false
+"""),
+    (["invariants", "{mixed}"], """\
+command: invariants
+cost: 5/4
+nu: 5/4
+min_cost: 5/6
+reduced_cost: 5/6
+brute_min_cost: null
+checks:
+  cost_ge_nu: true
+  nu_ge_min_cost: true
+  reduced_is_treeing: true
+  reduced_generates: true
+  reduced_cost_is_min: true
+  spanning_cost_is_min: true
+  transversal_identity: true
+ok: true
+"""),
+    (["reduce", "{mixed}"], """\
+command: reduce
+cost: 5/6
+is_treeing: true
+graphing:
+  space: {"n": 12}
+  maps: [{"name": "a", "pairs": [[0, 8], [1, 9], [2, 10], [3, 11], [4, 0], [5, 1], [6, 2], [7, 3]]}, {"name": "b", "pairs": [[1, 6], [3, 2]]}]
+"""),
 ]
 
 
@@ -359,8 +400,18 @@ def golden_files(tmp_path, graphing_file, rotation_file):
         {"name": "a", "pairs": [[0, 1], [1, 2]]}, {"name": "b", "pairs": [[3, 4], [2, 0]]}]}))
     relation = tmp_path / "r5.json"
     relation.write_text(json.dumps({"n": 5, "classes": [[0, 3, 1]]}))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"space": {"n": 12}, "maps": [
+        {"name": "a", "rotation": 8, "domain": "all"},
+        {"name": "b", "pairs": [[1, 6], [5, 5], [3, 2]]}]}))
+    mixed_classes = tmp_path / "mixed_classes.json"
+    mixed_classes.write_text(json.dumps(
+        {"n": 12, "classes": [[0, 4, 8], [1, 2, 3, 5, 6, 7, 9, 10, 11]]}))
+    one_class = tmp_path / "one_class.json"
+    one_class.write_text(json.dumps({"n": 12, "classes": [list(range(12))]}))
     return {"small": str(small), "graphing": graphing_file,
-            "rotation": rotation_file, "relation": str(relation)}
+            "rotation": rotation_file, "relation": str(relation), "mixed": str(mixed),
+            "mixed_classes": str(mixed_classes), "one_class": str(one_class)}
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_STDOUT,

@@ -29,6 +29,7 @@ from orbitcost import (
     is_treeing,
 )
 from orbitcost.files import dump_graphing
+from orbitcost.unionfind import UnionFind
 
 
 def dict_full_graphing(sys):
@@ -49,9 +50,12 @@ def dict_epsilon_graphing(sys, full_step, arc):
 
 
 def dict_relation(g):
-    """Oracle: the generated relation of the same maps copied into dicts."""
-    return generated_relation(Graphing(g.space, [PartialMap(m.name, g.space, dict(m.mapping))
-                                                 for m in g.maps]))
+    """Oracle: union-find on all n atoms over every entry, views read as pairs."""
+    uf = UnionFind(g.space.n)
+    for m in g.maps:
+        for x, y in m.mapping.items():
+            uf.union(x, y)
+    return Relation(g.space, uf.canonical())
 
 
 def hit_by_inverse(n, step, x, arc):
@@ -187,7 +191,7 @@ def test_periodic_relation_rejections(n, base):
 
 
 def assert_same_as_oracle(g, oracle, sys):
-    assert generated_relation(g).parent == generated_relation(oracle).parent
+    assert generated_relation(g).parent == dict_relation(oracle).parent
     assert cost(g) == cost(oracle)
     assert generates(g, expected_relation(sys)) == generates(oracle, expected_relation(sys))
     assert dump_graphing(g) == dump_graphing(oracle)
@@ -207,20 +211,47 @@ def test_shift_views_match_dict_oracle(n, raw_steps, full, start, length):
     assert_same_as_oracle(epsilon_graphing(sys, full_step, arc),
                           dict_epsilon_graphing(sys, full_step, arc), sys)
     assert_same_as_oracle(full_graphing(sys), dict_full_graphing(sys), sys)
-    assert expected_relation(sys).parent == generated_relation(dict_full_graphing(sys)).parent
+    assert expected_relation(sys).parent == dict_relation(dict_full_graphing(sys)).parent
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 40), st.integers(-50, 50), st.integers(-50, 50),
-       st.integers(0, 39), st.integers(0, 40), st.integers(0, 39), st.integers(0, 39))
-def test_mixed_view_and_dict_graphing_matches_oracle(n, s_full, s_arc, start, length, x, y):
-    # one view beside a dict map takes the general path
+@st.composite
+def mixed_graphings(draw):
+    """n <= 40 atoms and up to five maps, each a shift view or an injective pair list.
+
+    A view is (step, start, length); length n makes it a full view.  Pair
+    lists may hold loops; the pinned examples add repeated and inverse maps.
+    """
+    n = draw(st.integers(1, 40))
+    atoms = st.integers(0, n - 1)
+    maps = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            length = draw(st.one_of(st.just(n), st.integers(0, n)))
+            maps.append((draw(st.integers(-50, 50)), draw(atoms), length))
+        else:
+            sources = draw(st.lists(atoms, unique=True))
+            maps.append(list(zip(sources, draw(st.permutations(range(n))))))
+    return n, maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphings())
+@example((12, [(4, 0, 12), [(0, 5), (3, 3), (7, 2), (11, 6)]]))  # gcd(full, n) = 4, pairs with a loop
+@example((10, [(3, 8, 4), [(1, 1), (2, 6), (9, 0)]]))             # no full view: p = n
+@example((12, [(8, 0, 12), (5, 10, 7), [(6, 1)]]))                # partial view longer than p = 4
+@example((30, [(12, 0, 30), (18, 0, 30), [(0, 3), (4, 4)]]))      # two full views, p = 6
+@example((8, [[(0, 1), (1, 2), (5, 5)], [(1, 0)]]))               # pairs only, with an inverse copy
+@example((12, [(4, 0, 12), (3, 2, 5), (3, 2, 5)]))                # views only, one repeated
+def test_mixed_view_and_dict_graphing_matches_oracle(case):
+    # views and pair lists in any mix take the one Z/p path of generated_relation
+    n, specs = case
     space = FiniteSpace(n)
-    g = Graphing(space, [PartialMap("full", space, ShiftMapping(n, s_full, 0, n)),
-                         PartialMap("arc", space, ShiftMapping(n, s_arc, start % n, min(length, n))),
-                         PartialMap("pair", space, {x % n: y % n})])
+    maps = [PartialMap(f"m{i}", space,
+                       ShiftMapping(n, *spec) if isinstance(spec, tuple) else dict(spec))
+            for i, spec in enumerate(specs)]
+    g = Graphing(space, maps)
     assert generated_relation(g).parent == dict_relation(g).parent
-    assert cost(g) == Fraction(n + min(length, n) + 1, n)
+    assert cost(g) == Fraction(sum(s[2] if isinstance(s, tuple) else len(s) for s in specs), n)
 
 
 @st.composite

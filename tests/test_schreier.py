@@ -134,10 +134,19 @@ def test_lone_torsion_factor_is_refused_before_any_draw(monkeypatch):
 
 
 def test_sampling_gives_up_after_max_attempts(monkeypatch):
-    # a lone infinite factor is transitive on 1000 cosets once in 1000 draws
+    # every draw is rejected, so the sampler must stop at the cap
     monkeypatch.setattr(schreier, "MAX_ATTEMPTS", 2)
+    monkeypatch.setattr(schreier, "_transitive", lambda perms, index: False)
     with pytest.raises(ModelError, match="no transitive action found in 2 attempts"):
-        sample_free_action(GroupSpec((0,)), 1000, 0)
+        sample_free_action(GroupSpec((2, 3)), 6, 0)
+
+
+def test_lone_infinite_factor_draws_one_cycle_without_rejection(monkeypatch):
+    # a uniform permutation of 4000 cosets is one cycle once in 4000 draws
+    monkeypatch.setattr(schreier, "MAX_ATTEMPTS", 1)
+    act = sample_free_action(GroupSpec((0,)), 4000, 0)
+    assert cycle_lengths(act.perms[0]) == [4000]
+    assert subgroup_rank(act) == 1
 
 
 def test_single_infinite_factor_finds_a_cycle():
