@@ -66,6 +66,20 @@ def _specs(text: str) -> list[tuple[int, ...]]:
             f"specs are semicolon-separated factor lists, got {text!r}") from None
 
 
+def _reported(parse):
+    """argparse type that shows parse's FormatError text, not argparse's generic line."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except files.FormatError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
+_members = _reported(files.parse_members)
+_arc = _reported(files.parse_arc)
+
+
 def _seed(ns) -> int:
     return 0 if ns.seed is None else ns.seed
 
@@ -112,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("first-return", cmd_first_return, "induced first-return map on a subset")
     p.add_argument("graphing")
     p.add_argument("--map", dest="map_name", help="which map to iterate (default: the only one)")
-    p.add_argument("--members", type=files.parse_members, help="comma-separated atoms")
-    p.add_argument("--arc", type=files.parse_arc, help="start:length arc")
+    p.add_argument("--members", type=_members, help="comma-separated atoms")
+    p.add_argument("--arc", type=_arc, help="start:length arc")
 
     p = add("compress", cmd_compress, "both sides of the compression identity")
     p.add_argument("relation")
-    p.add_argument("--members", type=files.parse_members)
-    p.add_argument("--arc", type=files.parse_arc)
+    p.add_argument("--members", type=_members)
+    p.add_argument("--arc", type=_arc)
 
     p = add("brute-min", cmd_brute_min, "exhaustive minimum over regenerating edge sets")
     p.add_argument("relation")
@@ -129,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rotation", help="rotation JSON file")
     p.add_argument("--x", type=int, required=True, help="starting atom")
     p.add_argument("--restricted", help="restricted step (default: first non-full step)")
-    p.add_argument("--arc", type=files.parse_arc, help="override the file's arc")
+    p.add_argument("--arc", type=_arc, help="override the file's arc")
 
     p = add("eps-curve", cmd_eps_curve, "cost of the restricted family per eps")
     p.add_argument("rotation")

@@ -296,16 +296,15 @@ def nu_measure(edges: EdgeSet) -> Fraction:
     return edges.space.measure(len(edges.edges))
 
 
-def generated_relation(g: Graphing) -> Relation:
-    """Smallest equivalence relation joining every source to its target.
+def _quotient(g: Graphing) -> UnionFind:
+    """Union-find on Z/p whose classes are those of the relation g generates.
 
-    The work runs on Z/p, p = gcd(n, steps of the full-domain ShiftMapping
-    views).  Those views alone have the residue classes mod p as orbits, so
-    every other entry only joins x mod p to y mod p: each pair of a dict map,
-    and the first min(length, p) sources of a partial view, read by
-    arithmetic, which already meet every residue it can.  With no full view
-    p = gcd(n) = n, so a dict-only graphing is plain union-find on the atoms.
-    The result is lifted back with Relation.periodic.
+    p = gcd(n, steps of the full-domain ShiftMapping views).  Those views
+    alone have the residue classes mod p as orbits, so every other entry only
+    joins x mod p to y mod p: each pair of a dict map, and the first
+    min(length, p) sources of a partial view, read by arithmetic, which
+    already meet every residue it can.  With no full view p = gcd(n) = n, so
+    a dict-only graphing is plain union-find on the atoms.
     """
     n = g.space.n
     maps = [m.mapping for m in g.maps]
@@ -319,7 +318,12 @@ def generated_relation(g: Graphing) -> Relation:
         elif m.length < n:
             for x in range(m.start, m.start + min(m.length, p)):
                 union(x % p, (x + m.step) % p)
-    return Relation.periodic(g.space, uf.canonical())
+    return uf
+
+
+def generated_relation(g: Graphing) -> Relation:
+    """Smallest equivalence relation joining every source to its target."""
+    return Relation.periodic(g.space, _quotient(g).canonical())
 
 
 def generates(g: Graphing, r: Relation) -> bool:
@@ -332,14 +336,10 @@ def is_treeing(g: Graphing) -> bool:
     """True when the multigraph of (map, source) entries is a forest.
 
     Every entry counts as its own edge, so loops, parallel copies and
-    mutually inverse duplicates all create cycles.
+    mutually inverse duplicates all create cycles.  A multigraph is a forest
+    exactly when edges = n - classes, and each class on Z/p is one on Z/n.
     """
-    uf = UnionFind(g.space.n)
-    for m in g.maps:
-        for x, y in m.mapping.items():
-            if x == y or not uf.union(x, y):
-                return False
-    return True
+    return cost(g) == g.space.measure(g.space.n - _quotient(g).components)
 
 
 def min_cost(r: Relation) -> Fraction:

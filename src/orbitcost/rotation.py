@@ -201,8 +201,6 @@ def connection_path(sys: RotationSystem, full_step: str, restricted_step: str,
             raise ModelError(f"no step named {name!r}")
     if full_step == restricted_step:
         raise ModelError("the restricted step must differ from the full step")
-    if not 0 <= x < sys.n:
-        raise ModelError(f"atom {x} outside 0..{sys.n - 1}")
     sa = sys.steps[full_step]
     sb = sys.steps[restricted_step]
     m = first_hitting_time(sys.n, sa, x, arc)

@@ -1,10 +1,14 @@
 """Command line: one smoke per verb, exit codes, byte-stable reports."""
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orbitcost
 from orbitcost.cli import main
 
 
@@ -163,6 +167,17 @@ def test_coincidence(capsys):
     assert rows["2,3"]["measured_cost"] == "7/6"
     assert rows["2,3"]["modeled_costs"] == "1/2,2/3"
     assert report["all_match"] is True
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--members", "1,x", "argument --members: cannot read '1,x' as a comma-separated atom list"),
+    ("--arc", "5", "argument --arc: an arc is written start:length, got '5'"),
+])
+def test_bad_subset_flag_shows_its_format_error(capsys, relation_file, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", relation_file, flag, value])
+    lines = capsys.readouterr().err.splitlines()
+    assert (exc.value.code, lines[-1]) == (2, "orbitcost compress: error: " + message)
 
 
 def test_usage_error_exits_two(capsys):
@@ -365,6 +380,10 @@ generates: true
 command: gen-check
 generates: false
 """),
+    (["treeing", "{mixed}"], """\
+command: treeing
+is_treeing: false
+"""),
     (["invariants", "{mixed}"], """\
 command: invariants
 cost: 5/4
@@ -476,3 +495,21 @@ def test_rank_gradient_rejects_empty_indices(capsys, tmp_path):
     path.write_text(json.dumps({"factors": [2, 3], "indices": []}))
     code, lines = run_error(capsys, ["rank-gradient", str(path)])
     assert (code, lines) == (1, ["error: rank gradient needs at least one index"])
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_treeing_at_a_trillion_atoms_in_bounded_memory(tmp_path):
+    # a full coprime view makes the quotient one atom, so 1 GiB of address space is plenty
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"space": {"n": 10**12}, "maps": [
+        {"name": "a", "rotation": 1, "domain": "all"},
+        {"name": "b", "rotation": 357913, "domain": {"arc": [0, 1000]}}]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "orbitcost", "treeing", str(path)],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "command: treeing\nis_treeing: false\n", "")

@@ -27,6 +27,7 @@ from orbitcost import (
     generated_relation,
     generates,
     is_treeing,
+    reduce_to_treeing,
 )
 from orbitcost.files import dump_graphing
 from orbitcost.unionfind import UnionFind
@@ -56,6 +57,16 @@ def dict_relation(g):
         for x, y in m.mapping.items():
             uf.union(x, y)
     return Relation(g.space, uf.canonical())
+
+
+def entry_forest(g):
+    """Oracle: union-find on all n atoms, stopping at the first loop or cycle-closing entry."""
+    uf = UnionFind(g.space.n)
+    for m in g.maps:
+        for x, y in m.mapping.items():
+            if x == y or not uf.union(x, y):
+                return False
+    return True
 
 
 def hit_by_inverse(n, step, x, arc):
@@ -242,8 +253,14 @@ def mixed_graphings(draw):
 @example((30, [(12, 0, 30), (18, 0, 30), [(0, 3), (4, 4)]]))      # two full views, p = 6
 @example((8, [[(0, 1), (1, 2), (5, 5)], [(1, 0)]]))               # pairs only, with an inverse copy
 @example((12, [(4, 0, 12), (3, 2, 5), (3, 2, 5)]))                # views only, one repeated
+@example((1, [(0, 0, 1)]))                                        # a full view on one atom: a loop
+@example((6, [(1, 0, 5)]))                                        # a path, no full view: a treeing
+@example((6, [[(0, 1)], [(0, 1)]]))                               # one pair repeated in two maps
+@example((6, [[(0, 1)], [(1, 0)]]))                               # a mutually inverse pair
+@example((5, [[]]))                                               # an empty map: a treeing
 def test_mixed_view_and_dict_graphing_matches_oracle(case):
     # views and pair lists in any mix take the one Z/p path of generated_relation
+    # and is_treeing; the reduction is checked too, since random graphings are seldom forests
     n, specs = case
     space = FiniteSpace(n)
     maps = [PartialMap(f"m{i}", space,
@@ -252,6 +269,8 @@ def test_mixed_view_and_dict_graphing_matches_oracle(case):
     g = Graphing(space, maps)
     assert generated_relation(g).parent == dict_relation(g).parent
     assert cost(g) == Fraction(sum(s[2] if isinstance(s, tuple) else len(s) for s in specs), n)
+    for h in (g, reduce_to_treeing(g)):
+        assert is_treeing(h) == entry_forest(h)
 
 
 @st.composite
@@ -319,6 +338,8 @@ def test_connection_path_rejects_same_step():
     sys = RotationSystem(10, {"a": 3, "b": 5})
     with pytest.raises(ModelError):
         connection_path(sys, "a", "a", Arc(0, 1), 0)
+    with pytest.raises(ModelError, match=r"^atom 10 outside 0\.\.9$"):
+        connection_path(sys, "a", "b", Arc(0, 1), sys.n)
 
 
 def test_curve_rows_are_exact():
