@@ -42,8 +42,12 @@ def _factors(text: str) -> tuple[int, ...]:
             f"factors are a comma-separated order list, got {text!r}")
 
 
-def _indices(text: str) -> list[int]:
-    """Either 1,2,3 or start:stop:step with an inclusive stop."""
+# Most rows rank-gradient will sample: indices times samples, checked before any draw.
+MAX_GRADIENT_ROWS = 10_000
+
+
+def _indices(text: str) -> range | list[int]:
+    """Either 1,2,3 or start:stop:step with an inclusive stop, the latter kept as a range."""
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
@@ -51,7 +55,7 @@ def _indices(text: str) -> list[int]:
                 parts.append(1)
             if len(parts) != 3 or parts[2] < 1:
                 raise ValueError
-            return list(range(parts[0], parts[1] + 1, parts[2]))
+            return range(parts[0], parts[1] + 1, parts[2])
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -181,7 +185,7 @@ def cmd_cost(ns) -> dict:
 
 def cmd_nu(ns) -> dict:
     g = files.load_graphing(ns.graphing)
-    return {"command": "nu", "nu": _frac(relcore.nu_measure(relcore.to_edge_set(g)))}
+    return {"command": "nu", "nu": _frac(relcore.nu(g))}
 
 
 def cmd_gen_check(ns) -> dict:
@@ -288,7 +292,7 @@ def cmd_eps_curve(ns) -> dict:
 def cmd_invariants(ns) -> dict:
     g = files.load_graphing(ns.graphing)
     total = relcore.cost(g)
-    nu = relcore.nu_measure(relcore.to_edge_set(g))
+    nu = relcore.nu(g)
     r = relcore.generated_relation(g)
     floor = relcore.min_cost(r)
     reduced = relcore.reduce_to_treeing(g)
@@ -337,6 +341,10 @@ def cmd_rank_gradient(ns) -> dict:
             seed = doc.seed
     if factors is None or indices is None:
         raise relcore.ModelError("give factors and indices, by file or by flag")
+    # slicing first keeps len() small, however long a range the flag spans
+    if len(indices[:MAX_GRADIENT_ROWS + 1]) * ns.samples > MAX_GRADIENT_ROWS:
+        raise relcore.ModelError(
+            f"rank gradient samples at most {MAX_GRADIENT_ROWS} rows (indices times samples)")
     seed = 0 if seed is None else seed
     spec = schreier.GroupSpec(factors)
     beta1 = schreier.group_invariants(spec).beta1

@@ -6,6 +6,7 @@ cost in this module is a fractions.Fraction; nothing ever rounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,45 +174,60 @@ class Graphing:
         raise ModelError(f"no map named {name!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Relation:
-    """An equivalence relation stored as a canonical representative array.
+    """An equivalence relation stored as a canonical representative array of period p.
 
-    parent[x] is the least atom equivalent to x, so parent[x] == x exactly at
-    class representatives.
+    p = len(base) divides n, base[x] is the least atom equivalent to x for
+    x < p, and every atom x is equivalent to base[x % p].  Every entry of base
+    is below p, so each class of base on Z/p lifts to exactly one class on
+    Z/n, and a rotation family's relation costs p numbers, not n.
+    Relation(space, parent) is the case p = n.
     """
 
     space: FiniteSpace
-    parent: list[int]
+    base: list[int]
 
     def __post_init__(self):
         n = self.space.n
-        p = self.parent
-        if len(p) != n:
-            raise ModelError(f"representative array has length {len(p)}, space has {n} atoms")
+        b = self.base
+        if len(b) != n:
+            raise ModelError(f"representative array has length {len(b)}, space has {n} atoms")
         for x in range(n):
-            r = p[x]
+            r = b[x]
             if not 0 <= r <= x:
                 raise ModelError(f"atom {x}: representative {r} is not an atom <= {x}")
-            if p[r] != r:
+            if b[r] != r:
                 raise ModelError(f"atom {x}: representative {r} is not its own representative")
 
     @classmethod
     def periodic(cls, space: FiniteSpace, base: list[int]) -> "Relation":
         """The relation with parent[x] = base[x % p], p = len(base) dividing n.
 
-        base is checked as a canonical relation on Z/p in O(p).  Every entry
-        of base is below p, so the lift is canonical on Z/n as well and its
-        n-entry array is built by list repetition without a second check.
+        base is checked as a canonical relation on Z/p in O(p) and stored
+        without lifting.
         """
         p = len(base)
         if p == 0 or space.n % p:
             raise ModelError(f"period {p} does not divide n={space.n}")
-        cls(FiniteSpace(p), base)
-        lifted = cls.__new__(cls)
-        lifted.space = space
-        lifted.parent = base * (space.n // p)
-        return lifted
+        r = cls(FiniteSpace(p), base)
+        r.space = space
+        return r
+
+    @property
+    def parent(self) -> list[int]:
+        """parent[x] is the least atom equivalent to x; a fresh n-entry lift per access."""
+        return self._lifted(self.space.n)
+
+    def _lifted(self, m: int) -> list[int]:
+        """base repeated to m entries, for a multiple m of its period."""
+        return self.base * (m // len(self.base))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Relation):
+            return NotImplemented
+        m = math.lcm(len(self.base), len(other.base))
+        return self.space == other.space and self._lifted(m) == other._lifted(m)
 
     @classmethod
     def from_classes(cls, space: FiniteSpace, groups) -> "Relation":
@@ -230,7 +246,7 @@ class Relation:
         return cls(space, parent)
 
     def class_count(self) -> int:
-        return sum(1 for x, r in enumerate(self.parent) if x == r)
+        return sum(1 for x, r in enumerate(self.base) if x == r)
 
     def classes(self) -> list[list[int]]:
         """Classes as ascending atom lists, ordered by representative."""
@@ -296,6 +312,45 @@ def nu_measure(edges: EdgeSet) -> Fraction:
     return edges.space.measure(len(edges.edges))
 
 
+def nu(g: Graphing) -> Fraction:
+    """nu_measure(to_edge_set(g)) without building the pairs.
+
+    Two entries are one pair exactly when their sources agree and their steps
+    agree mod n.  So the views of one step cover the union of their arcs, and
+    a dict pair counts only when no view of its step covers its source:
+    O(k log k + dict entries) for k views, whatever n is.
+    """
+    n = g.space.n
+    arcs: dict[int, list[list[int]]] = {}  # step -> [start, end) intervals of 0..n
+    pairs: set[tuple[int, int]] = set()
+    for m in g.maps:
+        v = m.mapping
+        if isinstance(v, ShiftMapping):
+            end = v.start + v.length
+            arcs.setdefault(v.step, []).extend([[v.start, min(end, n)], [0, max(end - n, 0)]])
+        else:
+            pairs.update(v.items())
+    covered = {step: _merged(intervals) for step, intervals in arcs.items()}
+    count = sum(end - start for runs in covered.values() for start, end in runs)
+    for x, y in pairs:
+        runs = covered.get((y - x) % n, [])
+        i = bisect_right(runs, [x, n]) - 1  # the last run starting at or before x
+        if i < 0 or x >= runs[i][1]:
+            count += 1
+    return g.space.measure(count)
+
+
+def _merged(intervals: list[list[int]]) -> list[list[int]]:
+    """Ascending disjoint nonempty [start, end) runs covering the same atoms."""
+    runs: list[list[int]] = []
+    for start, end in sorted(intervals):
+        if runs and start <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], end)
+        elif start < end:
+            runs.append([start, end])
+    return runs
+
+
 def _quotient(g: Graphing) -> UnionFind:
     """Union-find on Z/p whose classes are those of the relation g generates.
 
@@ -329,7 +384,7 @@ def generated_relation(g: Graphing) -> Relation:
 def generates(g: Graphing, r: Relation) -> bool:
     if g.space != r.space:
         raise ModelError("graphing and relation live on different spaces")
-    return generated_relation(g).parent == r.parent
+    return generated_relation(g) == r
 
 
 def is_treeing(g: Graphing) -> bool:
@@ -349,7 +404,7 @@ def min_cost(r: Relation) -> Fraction:
 
 def transversal(r: Relation) -> Subset:
     """The least atom of every class; its weight is c/n."""
-    return Subset(r.space, frozenset(x for x, p in enumerate(r.parent) if x == p))
+    return Subset(r.space, frozenset(x for x, rep in enumerate(r.base) if x == rep))
 
 
 def spanning_treeing(r: Relation) -> Graphing:
@@ -482,10 +537,11 @@ def restrict_relation(r: Relation, a: Subset) -> Relation:
     if not a.members:
         raise ModelError("cannot restrict to the empty subset")
     members = sorted(a.members)
+    base, p = r.base, len(r.base)
     first: dict[int, int] = {}
     parent = []
     for i, x in enumerate(members):
-        rep = r.parent[x]
+        rep = base[x % p]
         if rep not in first:
             first[rep] = i
         parent.append(first[rep])
@@ -501,9 +557,10 @@ def compression_sides(r: Relation, a: Subset) -> tuple[Fraction, Fraction]:
     """
     if r.space != a.space:
         raise ModelError("relation and subset live on different spaces")
-    reps_met = {r.parent[x] for x in a.members}
+    base, p = r.base, len(r.base)
+    reps_met = {base[x % p] for x in a.members}
     if len(reps_met) != r.class_count():
-        missed = next(x for x, p in enumerate(r.parent) if x == p and x not in reps_met)
+        missed = next(x for x, rep in enumerate(base) if x == rep and x not in reps_met)
         raise ModelError(f"subset misses the class of atom {missed}")
     lhs = min_cost(restrict_relation(r, a)) - 1
     rhs = a.measure * (min_cost(r) - 1)

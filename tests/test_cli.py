@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import orbitcost
+from orbitcost import cli
 from orbitcost.cli import main
 
 
@@ -501,15 +502,65 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def run_capped(argv):
+    """Run the CLI in a child process with 1 GiB of address space; (code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "orbitcost", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_treeing_at_a_trillion_atoms_in_bounded_memory(tmp_path):
     # a full coprime view makes the quotient one atom, so 1 GiB of address space is plenty
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"space": {"n": 10**12}, "maps": [
         {"name": "a", "rotation": 1, "domain": "all"},
         {"name": "b", "rotation": 357913, "domain": {"arc": [0, 1000]}}]}))
-    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "orbitcost", "treeing", str(path)],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=_cap_address_space, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, "command: treeing\nis_treeing: false\n", "")
+    assert run_capped(["treeing", str(path)]) == (0, "command: treeing\nis_treeing: false\n", "")
+
+
+TRILLION_VIEWS = {"space": {"n": 10**12}, "maps": [
+    {"name": "a", "rotation": 1, "domain": "all"},
+    {"name": "b", "rotation": 357913, "domain": {"arc": [0, 1000]}},
+    {"name": "c", "rotation": 357913, "domain": {"arc": [500, 1000]}}]}
+TRILLION_ROTATION = {"n": 10**12, "steps": {"a": 4, "b": 6, "c": 357913}, "full": "a",
+                     "eps": ["1/10", "3/1000000000000"]}
+
+
+@pytest.mark.parametrize("argv, doc, expected", [
+    (["cost"], TRILLION_VIEWS, "command: cost\ncost: 500000001/500000000\n"),
+    (["nu"], TRILLION_VIEWS, "command: nu\nnu: 2000000003/2000000000\n"),
+    (["eps-curve"], TRILLION_ROTATION,
+     "command: eps-curve\nrows:\n"
+     "  eps              arc_len       cost                       generates\n"
+     "  1/10             100000000000  6/5                        true\n"
+     "  3/1000000000000  3             500000000003/500000000000  true\n"
+     "infimum: null\n"),
+], ids=["cost", "nu", "eps-curve"])
+def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, doc, expected):
+    # the treeing case is the test above; every answer here comes from the views and a
+    # Z/p quotient with p | 4, never from n entries
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run_capped(argv + [str(path)]) == (0, expected, "")
+
+
+def test_index_range_past_the_row_cap_is_one_error_line():
+    # the range is never listed: its length is read from a slice of at most cap + 1 entries;
+    # each runs in a child with a memory and a time limit, so a lost cap fails, not hangs
+    assert isinstance(cli._indices("1:100000000000:1"), range)
+    message = (f"error: rank gradient samples at most {cli.MAX_GRADIENT_ROWS} rows "
+               "(indices times samples)\n")
+    for flags in (["--indices", "1:100000000000:1"], ["--indices", "1:" + "9" * 40],
+                  ["--indices", "6,12", "--samples", str(cli.MAX_GRADIENT_ROWS)]):
+        assert run_capped(["rank-gradient", "--factors", "0,0", *flags]) == (1, "", message)
+
+
+def test_eps_exponent_past_the_bound_is_one_error_line(tmp_path):
+    # Fraction would build 10**999999999999 first; the child's memory limit stops a regression
+    path = tmp_path / "exp.json"
+    path.write_text('{"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "eps": [1e-999999999999]}')
+    assert run_capped(["eps-curve", str(path)]) == (
+        1, "", "error: cannot read '1e-999999999999' as an exact ratio: "
+               "its decimal exponent passes 10000 in size\n")

@@ -22,6 +22,7 @@ from orbitcost import (
 )
 from orbitcost.cli import main
 from orbitcost.files import (
+    MAX_DECIMAL_EXPONENT,
     FormatError,
     dump_graphing,
     dump_relation,
@@ -62,6 +63,15 @@ def test_rational_parsing():
         parse_rational("seven")
     with pytest.raises(FormatError):
         parse_rational("1/0")
+
+
+def test_rational_exponent_bound():
+    # the bound is checked on the text, so an exponent past it costs nothing
+    assert parse_rational(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10**MAX_DECIMAL_EXPONENT)
+    assert parse_rational("2.5E+0_03") == 2500
+    for text in (f"1e{MAX_DECIMAL_EXPONENT + 1}", "1e-" + "9" * 5000, " 7E+0000010001 "):
+        with pytest.raises(FormatError, match=f"passes {MAX_DECIMAL_EXPONENT} in size$"):
+            parse_rational(text)
 
 
 def test_member_and_arc_flags():

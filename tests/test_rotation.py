@@ -16,7 +16,9 @@ from orbitcost import (
     Relation,
     RotationSystem,
     ShiftMapping,
+    Subset,
     UnreachableArcError,
+    compression_sides,
     connection_path,
     cost,
     cost_epsilon_curve,
@@ -27,9 +29,17 @@ from orbitcost import (
     generated_relation,
     generates,
     is_treeing,
+    min_cost,
+    nu,
+    nu_measure,
     reduce_to_treeing,
+    restrict_relation,
+    single_full_generator,
+    spanning_treeing,
+    to_edge_set,
+    transversal,
 )
-from orbitcost.files import dump_graphing
+from orbitcost.files import dump_graphing, dump_relation
 from orbitcost.unionfind import UnionFind
 
 
@@ -185,7 +195,7 @@ def test_partial_map_rejects_a_view_on_another_space():
 
 def test_periodic_relation_lifts_its_base():
     r = Relation.periodic(FiniteSpace(12), [0, 0, 2, 0])
-    assert r.parent == [0, 0, 2, 0] * 3
+    assert r.base == [0, 0, 2, 0] and r.parent == [0, 0, 2, 0] * 3
     assert r.parent == Relation(FiniteSpace(12), r.parent).parent
 
 
@@ -245,6 +255,15 @@ def mixed_graphings(draw):
     return n, maps
 
 
+def graphing_of(n, specs):
+    """A mixed_graphings draw as a Graphing: tuples become views, pair lists dicts."""
+    space = FiniteSpace(n)
+    return Graphing(space, [PartialMap(f"m{i}", space,
+                                       ShiftMapping(n, *spec) if isinstance(spec, tuple)
+                                       else dict(spec))
+                            for i, spec in enumerate(specs)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_graphings())
 @example((12, [(4, 0, 12), [(0, 5), (3, 3), (7, 2), (11, 6)]]))  # gcd(full, n) = 4, pairs with a loop
@@ -262,15 +281,86 @@ def test_mixed_view_and_dict_graphing_matches_oracle(case):
     # views and pair lists in any mix take the one Z/p path of generated_relation
     # and is_treeing; the reduction is checked too, since random graphings are seldom forests
     n, specs = case
-    space = FiniteSpace(n)
-    maps = [PartialMap(f"m{i}", space,
-                       ShiftMapping(n, *spec) if isinstance(spec, tuple) else dict(spec))
-            for i, spec in enumerate(specs)]
-    g = Graphing(space, maps)
+    g = graphing_of(n, specs)
     assert generated_relation(g).parent == dict_relation(g).parent
     assert cost(g) == Fraction(sum(s[2] if isinstance(s, tuple) else len(s) for s in specs), n)
     for h in (g, reduce_to_treeing(g)):
         assert is_treeing(h) == entry_forest(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphings())
+@example((12, [(5, 10, 4), (5, 0, 3), (17, 1, 2)]))  # one step thrice: a wrapping arc and overlaps
+@example((10, [(0, 3, 4), [(4, 4), (5, 5), (1, 2)]]))  # a step-0 view beside dict loops
+@example((10, [(3, 8, 4), [(9, 2), (5, 8)]]))          # (9, 2) already lies on the view, (5, 8) not
+@example((6, [(2, 0, 6), (2, 3, 6)]))                  # two full views of one step
+def test_nu_without_pairs_matches_edge_set_oracle(case):
+    g = graphing_of(*case)
+    assert nu(g) == nu_measure(to_edge_set(g))
+
+
+def lift(r):
+    """Oracle: the n-entry representative array, read one atom at a time."""
+    return [r.base[x % len(r.base)] for x in range(r.space.n)]
+
+
+def outcome(fn, *args):
+    """fn's result, or the text of the ModelError it raised."""
+    try:
+        return fn(*args)
+    except ModelError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphings(), st.integers(0, 20), st.lists(st.integers(0, 7), min_size=1, max_size=40))
+@example((12, [(2, 0, 12)]), 3, [0, 1, 2, 1])            # gcd(full, n) = 2 against p = 4
+@example((30, [(12, 0, 30), (18, 0, 30)]), 4, list(range(6)))  # two full views, p = 6
+@example((12, [(8, 0, 12), (5, 10, 7)]), 5, [0])         # partial view longer than p = 4
+@example((12, [(1, 0, 12)]), 0, [0])                     # p = 1 beside its 12-entry twin
+@example((6, [[(0, 3)]]), 1, [0, 1])                     # a dict pair: p = n against p = 2
+def test_periodic_relation_matches_lifted_oracle(case, period_pick, labels):
+    # every reader of a periodic relation agrees with the same relation lifted to n entries
+    n, specs = case
+    space = FiniteSpace(n)
+    g = graphing_of(n, specs)
+    periods = [d for d in range(1, n + 1) if n % d == 0]
+    p = periods[period_pick % len(periods)]
+    first: dict[int, int] = {}
+    r = Relation.periodic(space, [first.setdefault(labels[x % len(labels)], x) for x in range(p)])
+    parent = lift(r)
+    twin = Relation(space, parent)
+    reps = [x for x in range(n) if parent[x] == x]
+    assert r.parent == parent and r == twin and twin == r
+    assert r.class_count() == len(reps)
+    assert min_cost(r) == Fraction(n - len(reps), n)
+    assert transversal(r).members == frozenset(reps)
+    assert r.classes() == [[x for x in range(n) if parent[x] == rep] for rep in reps]
+    assert dump_relation(r) == dump_relation(twin)
+    oracle = dict_relation(g)
+    assert generated_relation(g) == oracle
+    assert generates(g, r) == (oracle.parent == parent)
+    assert generates(g, oracle)
+    assert (generated_relation(g) == r) == (oracle.parent == parent)
+    assert dump_graphing(spanning_treeing(r)) == dump_graphing(spanning_treeing(twin))
+    assert single_full_generator(r).pairs() == single_full_generator(twin).pairs()
+    a = Subset(space, frozenset(x for x in range(n) if x % 3 != 1))
+    for fn in (restrict_relation, compression_sides):
+        assert outcome(fn, r, a) == outcome(fn, twin, a)
+
+
+def test_relation_of_wrong_length_keeps_its_message():
+    with pytest.raises(ModelError, match=r"^representative array has length 2, space has 3 atoms$"):
+        Relation(FiniteSpace(3), [0, 0])
+
+
+def test_curve_at_a_trillion_atoms_stores_the_period_only():
+    sys = RotationSystem(10**12, {"a": 4, "b": 6})
+    assert expected_relation(sys).base == [0, 1]
+    g = epsilon_graphing(sys, "a", Arc(0, 3))
+    assert generated_relation(g).base == [0, 1, 0, 1]
+    assert generates(g, expected_relation(sys))
+    assert not generates(epsilon_graphing(sys, "a", Arc(0, 1)), expected_relation(sys))
 
 
 @st.composite
