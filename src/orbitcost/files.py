@@ -7,17 +7,14 @@ in input files are read as their decimal text, never as binary floats.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .relcore import FiniteSpace, Graphing, ModelError, PartialMap, Relation, ShiftMapping, Subset
-from .rotation import Arc, RotationSystem
-
-
-class FormatError(ModelError):
-    """An input file failed to parse or broke the documented schema."""
+from .relcore import (MAX_DECIMAL_EXPONENT, Arc, FiniteSpace, FormatError,  # noqa: F401
+                      Graphing, ModelError, PartialMap, Relation, ShiftMapping, Subset,
+                      parse_rational)
+from .rotation import RotationSystem
 
 
 def fmt_rational(value) -> str:
@@ -29,25 +26,6 @@ def fmt_rational(value) -> str:
     except ValueError:  # str() of an int refuses more than sys.get_int_max_str_digits() digits
         raise FormatError("a ratio whose numerator or denominator passes "
                           f"{sys.get_int_max_str_digits()} digits cannot be printed") from None
-
-
-# Largest decimal exponent magnitude parse_rational reads.  Fraction builds
-# 10**exponent exactly, in time that grows faster than linearly (a hang past
-# about 10**6), while anything past 4300 digits cannot be printed anyway.
-MAX_DECIMAL_EXPONENT = 10_000
-
-
-def parse_rational(text) -> Fraction:
-    raw = str(text).strip()
-    exponent = re.search(r"[eE][-+]?([\d_]+)$", raw)
-    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-        raise FormatError(f"cannot read {text!r} as an exact ratio: its decimal exponent "
-                          f"passes {MAX_DECIMAL_EXPONENT} in size")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"cannot read {text!r} as an exact ratio") from None
 
 
 def parse_members(text: str) -> list[int]:

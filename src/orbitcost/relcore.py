@@ -6,11 +6,13 @@ cost in this module is a fractions.Fraction; nothing ever rounds.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .unionfind import UnionFind
 
@@ -25,6 +27,30 @@ class NotInSameCycleError(ModelError):
 
 class EdgeBudgetError(ModelError):
     """The exhaustive search was asked to scan more pairs than its budget."""
+
+
+class FormatError(ModelError):
+    """A ratio or an input file failed to parse or broke the documented schema."""
+
+
+# Largest decimal exponent magnitude parse_rational reads.  Fraction builds
+# 10**exponent exactly, in time that grows faster than linearly (a hang past
+# about 10**6), while anything past 4300 digits cannot be printed anyway.
+MAX_DECIMAL_EXPONENT = 10_000
+
+
+def parse_rational(text) -> Fraction:
+    """An exact ratio from text such as "7/2", "0.125" or "1e-3", its exponent bounded."""
+    raw = str(text).strip()
+    exponent = re.search(r"[eE][-+]?([\d_]+)$", raw)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise FormatError(f"cannot read {text!r} as an exact ratio: its decimal exponent "
+                          f"passes {MAX_DECIMAL_EXPONENT} in size")
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"cannot read {text!r} as an exact ratio") from None
 
 
 @dataclass(frozen=True)
@@ -46,33 +72,58 @@ class FiniteSpace:
         return Fraction(count, self.n)
 
 
+@dataclass(frozen=True, slots=True)
+class Arc:
+    """length consecutive atoms from start, wrapping modulo n."""
+
+    start: int
+    length: int
+
+    def check(self, n: int):
+        if not 0 <= self.start < n:
+            raise ModelError(f"arc start {self.start} outside 0..{n - 1}")
+        if not 0 <= self.length <= n:
+            raise ModelError(f"arc length {self.length} outside 0..{n}")
+
+    def contains(self, x: int, n: int) -> bool:
+        return (x - self.start) % n < self.length
+
+    def runs(self, n: int) -> tuple[range, range]:
+        """The atoms as two ascending ranges, split at the wrap point."""
+        end = self.start + self.length
+        return range(self.start, min(end, n)), range(max(end - n, 0))
+
+    def atoms(self, n: int) -> list[int]:
+        return list(chain(*self.runs(n)))
+
+    def subset(self, space: FiniteSpace) -> Subset:
+        self.check(space.n)
+        return Subset(space, frozenset(self.atoms(space.n)))
+
+
 class ShiftMapping(Mapping):
-    """Read-only view of x -> x + step (mod n) on length atoms from start, wrapping.
+    """Read-only view of x -> x + step (mod n) on the atoms of an arc.
 
     Nothing is materialised: lookups, membership and len are O(1) and the
-    domain is iterated lazily in the order start, start+1, ...  A shift is
-    injective on any interval of Z/n, so no entry ever needs checking.
+    arc is iterated lazily in the order start, start+1, ...  A shift is
+    injective on any arc, so no entry ever needs checking.
     """
 
-    __slots__ = ("n", "step", "start", "length")
+    __slots__ = ("n", "step", "arc")
 
     def __init__(self, n: int, step: int, start: int, length: int):
         if n < 1:
             raise ModelError(f"a shift view needs n >= 1, got {n}")
-        if not 0 <= start < n:
-            raise ModelError(f"shift view start {start} outside 0..{n - 1}")
-        if not 0 <= length <= n:
-            raise ModelError(f"shift view length {length} outside 0..{n}")
+        self.arc = Arc(start, length)
+        self.arc.check(n)
         self.n = n
         self.step = step % n
-        self.start = start
-        self.length = length
 
     def __len__(self) -> int:
-        return self.length
+        return self.arc.length
 
     def __contains__(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x < self.n and (x - self.start) % self.n < self.length
+        return isinstance(x, int) and 0 <= x < self.n and self.arc.contains(x, self.n)
 
     def __getitem__(self, x: int) -> int:
         if x not in self:
@@ -80,9 +131,7 @@ class ShiftMapping(Mapping):
         return (x + self.step) % self.n
 
     def __iter__(self):
-        end = self.start + self.length
-        yield from range(self.start, min(end, self.n))
-        yield from range(end - self.n)
+        return chain(*self.arc.runs(self.n))
 
 
 @dataclass
@@ -326,8 +375,7 @@ def nu(g: Graphing) -> Fraction:
     for m in g.maps:
         v = m.mapping
         if isinstance(v, ShiftMapping):
-            end = v.start + v.length
-            arcs.setdefault(v.step, []).extend([[v.start, min(end, n)], [0, max(end - n, 0)]])
+            arcs.setdefault(v.step, []).extend([run.start, run.stop] for run in v.arc.runs(n))
         else:
             pairs.update(v.items())
     covered = {step: _merged(intervals) for step, intervals in arcs.items()}
@@ -363,15 +411,15 @@ def _quotient(g: Graphing) -> UnionFind:
     """
     n = g.space.n
     maps = [m.mapping for m in g.maps]
-    p = math.gcd(n, *(m.step for m in maps if isinstance(m, ShiftMapping) and m.length == n))
+    p = math.gcd(n, *(m.step for m in maps if isinstance(m, ShiftMapping) and m.arc.length == n))
     uf = UnionFind(p)
     union = uf.union
     for m in maps:
         if not isinstance(m, ShiftMapping):
             for x, y in m.items():
                 union(x % p, y % p)
-        elif m.length < n:
-            for x in range(m.start, m.start + min(m.length, p)):
+        elif m.arc.length < n:
+            for x in range(m.arc.start, m.arc.start + min(m.arc.length, p)):
                 union(x % p, (x + m.step) % p)
     return uf
 
@@ -570,30 +618,29 @@ def compression_sides(r: Relation, a: Subset) -> tuple[Fraction, Fraction]:
 def brute_force_min_cost(r: Relation, edge_budget: int = 20) -> Fraction:
     """Exhaustive minimum of nu over edge sets regenerating r.
 
-    Edges can only join atoms of one class, so the search runs class by
-    class, scanning subsets of each class's pair universe in order of size
-    and keeping the first connecting size.  Refuses to run when the whole
-    universe exceeds edge_budget.
+    Edges can only join atoms of one class, and the least connecting edge
+    count of a class depends on its size alone, so each size above 1 is
+    searched once.  A class of t atoms in the base on Z/p lifts to one of
+    t*n/p atoms, so the sizes come from the base without building n entries.
+    Refuses to run when the whole pair universe exceeds edge_budget.
     """
-    groups = [c for c in r.classes() if len(c) > 1]
-    universe = sum(len(c) * (len(c) - 1) // 2 for c in groups)
+    lift = r.space.n // len(r.base)
+    sizes = Counter(t * lift for t in Counter(r.base).values() if t * lift > 1)
+    universe = sum(count * (size * (size - 1) // 2) for size, count in sizes.items())
     if universe > edge_budget:
         raise EdgeBudgetError(
             f"edge universe has {universe} pairs, the budget is {edge_budget}")
-    total = 0
-    for group in groups:
-        size = len(group)
-        pairs = list(combinations(range(size), 2))
-        for k in range(size):  # some (size-1)-subset always connects
-            found = False
-            for combo in combinations(pairs, k):
-                uf = UnionFind(size)
-                for i, j in combo:
-                    uf.union(i, j)
-                if uf.components == 1:
-                    found = True
-                    break
-            if found:
-                total += k
-                break
-    return r.space.measure(total)
+    return r.space.measure(sum(count * _fewest_connecting_pairs(size)
+                               for size, count in sizes.items()))
+
+
+def _fewest_connecting_pairs(size: int) -> int:
+    """Scan subsets of the pairs of size atoms in order of size; the first connecting size."""
+    pairs = list(combinations(range(size), 2))
+    for k in range(size):  # some (size-1)-subset always connects
+        for combo in combinations(pairs, k):
+            uf = UnionFind(size)
+            for i, j in combo:
+                uf.union(i, j)
+            if uf.components == 1:
+                return k

@@ -11,15 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .relcore import (
+    Arc,
     FiniteSpace,
     Graphing,
     ModelError,
     PartialMap,
     Relation,
     ShiftMapping,
-    Subset,
     cost,
     generates,
+    parse_rational,
 )
 
 
@@ -47,30 +48,6 @@ class RotationSystem:
         return FiniteSpace(self.n)
 
 
-@dataclass(frozen=True)
-class Arc:
-    """length consecutive atoms from start, wrapping modulo n."""
-
-    start: int
-    length: int
-
-    def check(self, n: int):
-        if not 0 <= self.start < n:
-            raise ModelError(f"arc start {self.start} outside 0..{n - 1}")
-        if not 0 <= self.length <= n:
-            raise ModelError(f"arc length {self.length} outside 0..{n}")
-
-    def contains(self, x: int, n: int) -> bool:
-        return (x - self.start) % n < self.length
-
-    def atoms(self, n: int) -> list[int]:
-        return [(self.start + i) % n for i in range(self.length)]
-
-    def subset(self, space: FiniteSpace) -> Subset:
-        self.check(space.n)
-        return Subset(space, frozenset(self.atoms(space.n)))
-
-
 def expected_relation(sys: RotationSystem) -> Relation:
     """Cosets of g = gcd(n, all steps): the orbit partition of the full action."""
     g = math.gcd(sys.n, *sys.steps.values())
@@ -96,7 +73,6 @@ def epsilon_graphing(sys: RotationSystem, full_step: str, arc: Arc) -> Graphing:
         raise ModelError("need at least two steps to restrict against a full one")
     if full_step not in sys.steps:
         raise ModelError(f"no step named {full_step!r}")
-    arc.check(sys.n)
     space = sys.space
     n = sys.n
     maps = []
@@ -239,10 +215,7 @@ def _exact_eps(value) -> Fraction:
     if isinstance(value, float):
         raise ModelError(
             f"eps {value!r} is a float; pass a ratio string or Fraction instead")
-    try:
-        eps = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ModelError(f"cannot read {value!r} as an exact ratio") from None
+    eps = Fraction(value) if isinstance(value, (int, Fraction)) else parse_rational(value)
     if not 0 < eps <= 1:
         # str() of an integer past a few thousand digits raises; name the side instead
         shown = eps if max(abs(eps.numerator), eps.denominator).bit_length() <= 1000 else (

@@ -460,12 +460,75 @@ def test_golden_stdout(capsys, golden_files, argv, expected):
      "{path}: arc must be a [start, length] pair"),
     (["eps-curve"], {"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "arc": [11, 1]},
      "{path}: arc start 11 outside 0..9"),
+    (["cost"], {"space": {"n": 10},
+                "maps": [{"name": "b", "rotation": 3, "domain": {"arc": [0, 11]}}]},
+     "{path}: arc length 11 outside 0..10"),
+    (["cost"], {"space": {"n": 3}, "maps": {}}, "{path}: maps must be a list"),
+    (["cost"], {"space": {"n": 3}, "maps": [1]}, "{path}: maps[0] must be an object"),
+    (["cost"], {"space": {"n": 3}, "maps": [{"pairs": []}]}, "{path}: maps[0] needs a nonempty name"),
+    (["cost"], {"space": {"n": 3}, "maps": [{"name": "a", "pairs": {}}]},
+     "{path}: map 'a': pairs must be a list"),
+    (["cost"], {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [[0]]}]},
+     "{path}: map 'a': each pair must be a two-atom list"),
+    (["cost"], {"space": {"n": 3}, "maps": [{"name": "a", "rotation": 1, "domain": "some"}]},
+     """{path}: map 'a': domain must be "all", an arc object or an atom list"""),
+    (["min-cost"], {"n": 3, "classes": {}}, "{path}: classes must be a list of atom lists"),
+    (["min-cost"], {"n": 3, "classes": [[]]}, "{path}: classes[0] must be a nonempty atom list"),
+    (["rank-gradient"], {"factors": 2, "indices": [1]}, "{path}: factors must be a list of integers"),
 ])
 def test_golden_loader_errors(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, lines = run_error(capsys, argv + [str(path)])
     assert (code, lines) == (1, ["error: " + message.format(path=path)])
+
+
+ROTATION_AB = {"n": 10, "steps": {"a": 1, "b": 3}}
+ONE_CLASS = {"n": 4, "classes": [[0, 1]]}
+
+
+@pytest.mark.parametrize("argv, doc, code, line", [
+    (["eps-curve", "{path}"], ROTATION_AB, 1, "error: the rotation file must name a full step"),
+    (["rotation-demo", "{path}", "--x", "0"], {**ROTATION_AB, "arc": [0, 2]}, 1,
+     "error: the rotation file must name a full step"),
+    (["eps-curve", "{path}"], {**ROTATION_AB, "full": "a"}, 1,
+     "error: the rotation file must list eps values"),
+    (["rotation-demo", "{path}", "--x", "0"], {**ROTATION_AB, "full": "a"}, 1,
+     "error: give an arc, in the file or with --arc"),
+    (["rotation-demo", "{path}", "--x", "0"], {"n": 10, "steps": {"a": 1}, "full": "a", "arc": [0, 2]},
+     1,
+     "error: no restricted step to demonstrate"),
+    (["rank-gradient", "--factors", "2,3"], None, 1,
+     "error: give factors and indices, by file or by flag"),
+    (["compress", "{path}"], ONE_CLASS, 1, "error: give exactly one of --members or --arc"),
+    (["compress", "{path}", "--members", "0", "--arc", "0:1"], ONE_CLASS, 1,
+     "error: give exactly one of --members or --arc"),
+    (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", "x"], None, 2,
+     "orbitcost schreier-rank: error: argument --seed: seed must be an integer, got 'x'"),
+    (["brute-min", "{path}", "--edge-budget", "0"], ONE_CLASS, 2,
+     "orbitcost brute-min: error: argument --edge-budget: value must be positive"),
+    (["schreier-rank", "--factors", "2,x", "--index", "6"], None, 2,
+     "orbitcost schreier-rank: error: argument --factors: "
+     "factors are a comma-separated order list, got '2,x'"),
+    (["rank-gradient", "--factors", "2,3", "--indices", "1:5:0"], None, 2,
+     "orbitcost rank-gradient: error: argument --indices: "
+     "indices are a comma list or start:stop:step, got '1:5:0'"),
+    (["coincidence", "--specs", "2,x"], None, 2,
+     "orbitcost coincidence: error: argument --specs: "
+     "specs are semicolon-separated factor lists, got '2,x'"),
+])
+def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
+    # exit 1 is the one error line of main; exit 2 is argparse's usage text ending in its line
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    try:
+        got = main([a.format(path=path) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert (got, captured.out) == (code, "")
+    assert (lines if code == 1 else lines[-1:]) == [line]
 
 
 def test_tiny_eps_is_one_error_line(capsys, tmp_path):

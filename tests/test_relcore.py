@@ -1,5 +1,7 @@
 """Core calculus: examples with independently derived values, then properties."""
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from orbitcost import (
     to_edge_set,
     transversal,
 )
+from orbitcost.unionfind import UnionFind
 
 
 def shift_map(n, s=1, name="shift"):
@@ -372,6 +375,43 @@ def test_brute_force_respects_budget():
     assert brute_force_min_cost(r.__class__.from_classes(FiniteSpace(10), [[0, 1]])) == Fraction(1, 10)
 
 
+def test_brute_force_refuses_a_large_universe_from_the_base(monkeypatch):
+    def lifted(*_):
+        raise AssertionError("the relation was lifted to its n atoms")
+    monkeypatch.setattr(Relation, "classes", lifted)
+    monkeypatch.setattr(Relation, "parent", property(lifted))
+    r = Relation.periodic(FiniteSpace(10**6), [0])
+    with pytest.raises(EdgeBudgetError,
+                       match=r"^edge universe has 499999500000 pairs, the budget is 20$"):
+        brute_force_min_cost(r)
+
+
+def brute_force_per_class(r, edge_budget=20):
+    """Oracle: the exhaustive search run once for every class of r's n atoms."""
+    groups = [c for c in r.classes() if len(c) > 1]
+    universe = sum(len(c) * (len(c) - 1) // 2 for c in groups)
+    if universe > edge_budget:
+        raise EdgeBudgetError(
+            f"edge universe has {universe} pairs, the budget is {edge_budget}")
+    total = 0
+    for group in groups:
+        size = len(group)
+        pairs = list(combinations(range(size), 2))
+        for k in range(size):  # some (size-1)-subset always connects
+            found = False
+            for combo in combinations(pairs, k):
+                uf = UnionFind(size)
+                for i, j in combo:
+                    uf.union(i, j)
+                if uf.components == 1:
+                    found = True
+                    break
+            if found:
+                total += k
+                break
+    return r.space.measure(total)
+
+
 # ---------------------------------------------------------------- properties
 
 @st.composite
@@ -382,6 +422,15 @@ def relations(draw, max_n=40):
     for x, lab in enumerate(labels):
         groups.setdefault(lab, []).append(x)
     return Relation.from_classes(FiniteSpace(n), groups.values())
+
+
+@st.composite
+def periodic_relations(draw, max_p=8, max_copies=4):
+    p = draw(st.integers(1, max_p))
+    labels = draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
+    first: dict[int, int] = {}
+    base = [first.setdefault(lab, x) for x, lab in enumerate(labels)]
+    return Relation.periodic(FiniteSpace(p * draw(st.integers(1, max_copies))), base)
 
 
 @st.composite
@@ -507,3 +556,15 @@ def test_brute_force_agrees_when_budget_permits(r):
     universe = sum(len(c) * (len(c) - 1) // 2 for c in r.classes())
     if universe <= 16:
         assert brute_force_min_cost(r) == min_cost(r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(relations(max_n=12), periodic_relations()), st.integers(0, 20))
+def test_brute_force_matches_per_class_oracle(r, edge_budget):
+    try:
+        expected = brute_force_per_class(r, edge_budget)
+    except EdgeBudgetError as e:
+        with pytest.raises(EdgeBudgetError, match=f"^{re.escape(str(e))}$"):
+            brute_force_min_cost(r, edge_budget)
+    else:
+        assert brute_force_min_cost(r, edge_budget) == expected

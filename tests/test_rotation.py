@@ -145,6 +145,12 @@ def test_epsilon_graphing_needs_two_steps():
         epsilon_graphing(RotationSystem(5, {"a": 1, "b": 2}), "zz", Arc(0, 1))
 
 
+def test_epsilon_graphing_rejects_an_arc_past_n():
+    sys = RotationSystem(10, {"a": 1, "b": 3})
+    with pytest.raises(ModelError, match=r"^arc length 11 outside 0\.\.10$"):
+        epsilon_graphing(sys, "a", Arc(0, 11))
+
+
 def test_hitting_time_example_and_oracle():
     arc = Arc(0, 1)
     assert first_hitting_time(10, 3, 1, arc) == 3
@@ -183,8 +189,11 @@ def test_shift_view_is_a_read_only_mapping():
     with pytest.raises(KeyError):
         view[2]
     assert list(ShiftMapping(5, 1, 3, 0)) == []
-    for bad in ((0, 1, 0, 0), (5, 1, 5, 1), (5, 1, 0, 6), (5, 1, 0, -1)):
-        with pytest.raises(ModelError):
+    for bad, message in (((0, 1, 0, 0), "a shift view needs n >= 1, got 0"),
+                         ((5, 1, 5, 1), r"arc start 5 outside 0\.\.4"),
+                         ((5, 1, 0, 6), r"arc length 6 outside 0\.\.5"),
+                         ((5, 1, 0, -1), r"arc length -1 outside 0\.\.5")):
+        with pytest.raises(ModelError, match=f"^{message}$"):
             ShiftMapping(*bad)
 
 
@@ -458,6 +467,15 @@ def test_curve_rejects_floats_and_bad_ranges():
         cost_epsilon_curve(sys, "a", ["0"])
     with pytest.raises(ModelError):
         cost_epsilon_curve(sys, "a", ["3/2"])
+
+
+def test_curve_reads_eps_through_the_exponent_bound():
+    sys = RotationSystem(10, {"a": 1, "b": 3})
+    with pytest.raises(ModelError, match=r"^cannot read '1e-20000' as an exact ratio: "
+                                         r"its decimal exponent passes 10000 in size$"):
+        cost_epsilon_curve(sys, "a", ["1e-20000"])
+    row, = cost_epsilon_curve(sys, "a", ["1e-10000"]).rows
+    assert (row.eps, row.arc_len, row.cost) == (Fraction(1, 10**10000), 1, Fraction(11, 10))
 
 
 def test_curve_without_coprime_full_step_claims_no_infimum():
