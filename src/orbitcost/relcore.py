@@ -314,9 +314,11 @@ class Subset:
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
-        for x in self.members:
-            if not 0 <= x < self.space.n:
-                raise ModelError(f"subset member {x} outside 0..{self.space.n - 1}")
+        if self.members:
+            low, high = min(self.members), max(self.members)
+            if low < 0 or high >= self.space.n:
+                raise ModelError(f"subset member {low if low < 0 else high} "
+                                 f"outside 0..{self.space.n - 1}")
 
     @property
     def measure(self) -> Fraction:

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import relcore
 from .relcore import ModelError
-from .unionfind import UnionFind
 
 MAX_ATTEMPTS = 10_000
+MAX_SAMPLER_COSETS = 2_000_000  # index times factors, checked before any coset list is built
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -99,11 +99,20 @@ def _cycle_lengths(perm) -> list[int]:
 
 
 def _transitive(perms, index: int) -> bool:
-    uf = UnionFind(index)
-    for perm in perms:
-        for x, y in enumerate(perm):
-            uf.union(x, y)
-    return uf.components == 1
+    """Whether coset 0's orbit is every coset; a rejected draw costs only that orbit."""
+    seen = bytearray(index)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        x = stack.pop()
+        for perm in perms:
+            y = perm[x]
+            if not seen[y]:
+                seen[y] = 1
+                reached += 1
+                stack.append(y)
+    return reached == index
 
 
 @dataclass
@@ -134,17 +143,19 @@ def _sample_factor_perm(order: int, index: int, rng: random.Random) -> list[int]
 
     A shuffled point sequence chopped into consecutive order-sized cycles is
     uniform over such permutations: each one arises from exactly
-    (index/order)! * order^(index/order) shufflings.
+    (index/order)! * order^(index/order) shufflings.  Each point's successor
+    is the next point of the sequence, except that a block's last point
+    returns to the block's first.
     """
     pts = list(range(index))
     rng.shuffle(pts)
     if order == 0:
         return pts
+    nxt = pts[1:] + pts[:1]
+    nxt[order - 1::order] = pts[::order]
     perm = [0] * index
-    for base in range(0, index, order):
-        block = pts[base:base + order]
-        for pos, x in enumerate(block):
-            perm[x] = block[(pos + 1) % order]
+    for x, y in zip(pts, nxt):
+        perm[x] = y
     return perm
 
 
@@ -155,11 +166,16 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     seed, so the result depends only on (spec, index, seed).  A lone factor
     is transitive only as one index-cycle, so it draws one and never rejects
     (a lone order-m factor is refused before any draw unless index is m).
-    Several factors give up after MAX_ATTEMPTS rejections.
+    Several factors give up after MAX_ATTEMPTS rejections.  At most
+    MAX_SAMPLER_COSETS cosets (index times factors) are drawn per attempt.
     """
     if index < 1:
         raise ModelError(f"index must be positive, got {index}")
     orders = spec.factor_orders
+    if index * len(orders) > MAX_SAMPLER_COSETS:
+        raise ModelError(
+            f"the sampler draws at most {MAX_SAMPLER_COSETS} cosets (index times factors), "
+            f"got {index} x {len(orders)}")
     for order in orders:
         if order and index % order:
             raise ModelError(f"factor order {order} does not divide the index {index}")

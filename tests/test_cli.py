@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orbitcost
-from orbitcost import cli
+from orbitcost import cli, schreier
 from orbitcost.cli import main
 
 
@@ -618,6 +618,18 @@ def test_index_range_past_the_row_cap_is_one_error_line():
     for flags in (["--indices", "1:100000000000:1"], ["--indices", "1:" + "9" * 40],
                   ["--indices", "6,12", "--samples", str(cli.MAX_GRADIENT_ROWS)]):
         assert run_capped(["rank-gradient", "--factors", "0,0", *flags]) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["schreier-rank", "--factors", "2,3", "--index", "600000000"],
+    ["compress-check", "--factors", "0,0", "--index", "600000000"],
+    ["coincidence", "--specs", "0,0", "--max-index", "600000000"],
+], ids=["schreier-rank", "compress-check", "coincidence"])
+def test_sampler_past_the_coset_cap_is_one_error_line(argv):
+    # each draw would build index-sized lists; the child's memory limit stops a regression
+    assert run_capped(argv) == (
+        1, "", f"error: the sampler draws at most {schreier.MAX_SAMPLER_COSETS} cosets "
+               "(index times factors), got 600000000 x 2\n")
 
 
 def test_eps_exponent_past_the_bound_is_one_error_line(tmp_path):

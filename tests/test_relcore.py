@@ -108,8 +108,10 @@ def test_from_classes_fills_singletons_and_rejects_overlap():
 def test_subset_measure():
     a = Subset(FiniteSpace(8), frozenset([1, 5]))
     assert a.measure == Fraction(1, 4)
-    with pytest.raises(ModelError):
-        Subset(FiniteSpace(8), frozenset([8]))
+    with pytest.raises(ModelError, match=r"^subset member 8 outside 0\.\.7$"):
+        Subset(FiniteSpace(8), frozenset([2, 8]))
+    with pytest.raises(ModelError, match=r"^subset member -1 outside 0\.\.7$"):
+        Subset(FiniteSpace(8), frozenset([-1, 3]))
 
 
 # ---------------------------------------------------------------- cost and nu

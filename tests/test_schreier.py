@@ -1,9 +1,10 @@
 """Free products of cyclic groups: sampling contract and rank arithmetic."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcost import (
@@ -22,6 +23,7 @@ from orbitcost import (
 )
 from orbitcost import relcore, schreier
 from orbitcost.schreier import _modeled_factor_cost
+from orbitcost.unionfind import UnionFind
 
 
 def cycle_lengths(perm):
@@ -36,6 +38,29 @@ def cycle_lengths(perm):
                 length += 1
             out.append(length)
     return out
+
+
+def transitive_oracle(perms, index):
+    """Reference transitivity: one union per (coset, image) pair, then one component."""
+    uf = UnionFind(index)
+    for perm in perms:
+        for x, y in enumerate(perm):
+            uf.union(x, y)
+    return uf.components == 1
+
+
+def factor_perm_oracle(order, index, rng):
+    """Reference draw: the same shuffle, each order-sized block closed into a cycle one by one."""
+    pts = list(range(index))
+    rng.shuffle(pts)
+    if order == 0:
+        return pts
+    perm = [0] * index
+    for base in range(0, index, order):
+        block = pts[base:base + order]
+        for pos, x in enumerate(block):
+            perm[x] = block[(pos + 1) % order]
+    return perm
 
 
 # ---------------------------------------------------------------- specs
@@ -153,6 +178,88 @@ def test_single_infinite_factor_finds_a_cycle():
     act = sample_free_action(GroupSpec((0,)), 5, 0)
     assert cycle_lengths(act.perms[0]) == [5]
     assert subgroup_rank(act) == 1
+
+
+@pytest.mark.parametrize("perms, index, expected", [
+    ([[0]], 1, True),
+    ([[0, 1, 2], [0, 1, 2]], 3, False),
+    ([[1, 0, 3, 2, 5, 4], [3, 2, 1, 0, 5, 4]], 6, False),  # involutions stuck on 0..3
+    ([[1, 2, 3, 4, 0]], 5, True),
+    ([[0, 2, 1], [0, 1, 2]], 3, False),  # 1 and 2 meet, 0 is fixed
+], ids=["index-1", "identities", "involutions", "index-cycle", "fixed-zero"])
+def test_transitive_pins(perms, index, expected):
+    assert schreier._transitive(perms, index) is transitive_oracle(perms, index) is expected
+
+
+@st.composite
+def permutation_tuples(draw):
+    index = draw(st.integers(1, 24))
+    k = draw(st.integers(1, 3))
+    perms = [draw(st.permutations(range(index))) for _ in range(k)]
+    return perms, index
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_tuples())
+def test_transitive_matches_union_find_oracle(case):
+    perms, index = case
+    assert schreier._transitive(perms, index) == transitive_oracle(perms, index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 2, 3, 4, 5, 6]), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2**64 - 1))
+@example(2, 1, False, 0)  # index is one block
+@example(6, 1, False, 1)
+@example(0, 1, True, 2)  # a lone factor on one coset
+@example(5, 12, True, 3)  # a lone factor: one 60-cycle
+def test_factor_perm_matches_block_oracle(order, blocks, lone, seed):
+    index = (order or 1) * blocks
+    if lone:
+        order = index  # the lone-factor path draws one index-cycle
+    assert (schreier._sample_factor_perm(order, index, random.Random(seed))
+            == factor_perm_oracle(order, index, random.Random(seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0, 2, 3, 4]), min_size=2, max_size=3),
+       st.integers(1, 6), st.integers(0, 2**64 - 1))
+def test_sampler_matches_a_sampler_built_on_the_oracles(orders, scale, seed):
+    spec = GroupSpec(tuple(orders))
+    index = math.lcm(*(m for m in orders if m)) * scale
+    act = sample_free_action(spec, index, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schreier, "_transitive", transitive_oracle)
+        mp.setattr(schreier, "_sample_factor_perm", factor_perm_oracle)
+        assert sample_free_action(spec, index, seed).perms == act.perms
+    assert PermAction(spec, index, act.perms).perms == act.perms
+
+
+@pytest.mark.parametrize("orders, index, seed, perms", [
+    ((2, 2), 12, 0, [[8, 3, 10, 1, 11, 9, 7, 6, 0, 5, 2, 4],
+                     [5, 2, 1, 8, 7, 0, 9, 4, 3, 6, 11, 10]]),  # third attempt
+    ((2, 3), 12, 9, [[3, 5, 11, 0, 7, 1, 10, 4, 9, 8, 6, 2],
+                     [4, 11, 6, 10, 8, 2, 5, 3, 0, 1, 7, 9]]),  # second attempt
+    ((0, 0, 2), 8, 30, [[0, 4, 7, 5, 1, 6, 2, 3], [1, 4, 6, 5, 0, 2, 7, 3],
+                        [2, 3, 0, 1, 5, 4, 7, 6]]),  # second attempt
+], ids=["2,2", "2,3", "0,0,2"])
+def test_seeded_draws_are_pinned(orders, index, seed, perms):
+    # the CLI prints only ranks, so these literals are what hold the seeded permutations
+    spec = GroupSpec(orders)
+    assert sample_free_action(spec, index, seed).perms == perms
+    assert PermAction(spec, index, perms).perms == perms
+
+
+def test_sampler_refuses_past_the_coset_cap_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sampled a permutation")
+
+    monkeypatch.setattr(schreier, "_sample_factor_perm", no_draws)
+    cap = schreier.MAX_SAMPLER_COSETS
+    with pytest.raises(ModelError, match=f"at most {cap} cosets .* got {cap // 2 + 1} x 2$"):
+        sample_free_action(GroupSpec((0, 0)), cap // 2 + 1, 0)
+    with pytest.raises(ModelError, match=f"got {cap + 1} x 1$"):
+        sample_free_action(GroupSpec((0,)), cap + 1, 0)
 
 
 def test_mixing_is_stable():
