@@ -128,21 +128,20 @@ def _rotation_map(name: str, space: FiniteSpace, s: int, domain) -> PartialMap:
     if domain == "all":
         return PartialMap(name, space, ShiftMapping(n, s, 0, n))
     if isinstance(domain, dict) and "arc" in domain:
-        arc = _read_arc(domain["arc"], n, f"map {name!r}: an arc domain is a [start, length] pair")
-        return PartialMap(name, space, ShiftMapping(n, s, arc.start, arc.length))
+        start, length = _read_arc(domain["arc"],
+                                  f"map {name!r}: an arc domain is a [start, length] pair")
+        return PartialMap(name, space, ShiftMapping(n, s, start, length))
     if isinstance(domain, list):
         sources = [_as_int(x, f"map {name!r} domain atom") for x in domain]
         return PartialMap.from_pairs(name, space, ((x, (x + s) % n) for x in sources))
     raise ModelError(f'map {name!r}: domain must be "all", an arc object or an atom list')
 
 
-def _read_arc(raw, n: int, shape_error: str) -> Arc:
-    """A JSON [start, length] pair as an Arc checked against n; shape_error names the field."""
+def _read_arc(raw, shape_error: str) -> tuple[int, int]:
+    """A JSON [start, length] pair of ints, unchecked against n; shape_error names the field."""
     if not isinstance(raw, list) or len(raw) != 2:
         raise ModelError(shape_error)
-    arc = Arc(_as_int(raw[0], "arc start"), _as_int(raw[1], "arc length"))
-    arc.check(n)
-    return arc
+    return _as_int(raw[0], "arc start"), _as_int(raw[1], "arc length")
 
 
 def dump_graphing(g: Graphing) -> dict:
@@ -243,5 +242,6 @@ def _build_rotation(doc) -> RotationDoc:
     eps = [parse_rational(v) for v in doc.get("eps", [])]
     arc = None
     if "arc" in doc:
-        arc = _read_arc(doc["arc"], n, "arc must be a [start, length] pair")
+        arc = Arc(*_read_arc(doc["arc"], "arc must be a [start, length] pair"))
+        arc.check(n)
     return RotationDoc(system, full, eps, arc)

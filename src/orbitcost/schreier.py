@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import sys
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import relcore
@@ -18,6 +20,10 @@ from .relcore import ModelError
 
 MAX_ATTEMPTS = 10_000
 MAX_SAMPLER_COSETS = 2_000_000  # index times factors, checked before any coset list is built
+MAX_SAMPLER_DRAWS = 40_000_000  # cosets drawn per call over all attempts; bounds its time
+
+_SHUFFLE_CHUNK = 4096  # 32-bit words fetched per getrandbits call
+_WORD = next(code for code in "IL" if array(code).itemsize == 4)
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,24 +84,36 @@ def group_invariants(spec: GroupSpec) -> GroupInvariants:
     return GroupInvariants(costs, total, total - 1, len(spec.factor_orders))
 
 
-def _check_permutation(perm, index: int):
-    if len(perm) != index or sorted(perm) != list(range(index)):
-        raise ModelError(f"each factor needs a permutation of 0..{index - 1}")
+def _cycle_lengths(perm, index: int) -> list[int]:
+    """Cycle lengths of perm, in order of their least coset, from one walk.
 
-
-def _cycle_lengths(perm) -> list[int]:
-    seen = [False] * len(perm)
-    out = []
-    for x in range(len(perm)):
-        if seen[x]:
-            continue
-        length = 0
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        out.append(length)
-    return out
+    The walk is also the permutation check: every entry must lie in
+    0..index-1 and every cycle must close at its own start, since meeting a
+    coset seen before means two cosets share an image.
+    """
+    error = f"each factor needs a permutation of 0..{index - 1}"
+    if len(perm) != index:
+        raise ModelError(error)
+    seen = bytearray(index)
+    lengths = []
+    try:
+        for start in range(index):
+            if seen[start]:
+                continue
+            x = start
+            length = 0
+            while True:
+                seen[x] = 1
+                length += 1
+                x = perm[x]
+                if x == start:
+                    break
+                if not 0 <= x < index or seen[x]:
+                    raise ModelError(error)
+            lengths.append(length)
+    except TypeError:  # an entry that is not an int
+        raise ModelError(error) from None
+    return lengths
 
 
 def _transitive(perms, index: int) -> bool:
@@ -122,6 +140,7 @@ class PermAction:
     spec: GroupSpec
     index: int
     perms: list[list[int]]
+    cycle_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.index < 1:
@@ -129,13 +148,44 @@ class PermAction:
         if len(self.perms) != len(self.spec.factor_orders):
             raise ModelError(
                 f"{len(self.spec.factor_orders)} factors but {len(self.perms)} permutations")
+        counts = []
         for order, perm in zip(self.spec.factor_orders, self.perms):
-            _check_permutation(perm, self.index)
-            if order and any(length != order for length in _cycle_lengths(perm)):
+            lengths = _cycle_lengths(perm, self.index)
+            if order and any(length != order for length in lengths):
                 raise ModelError(
                     f"an order-{order} factor must act with every cycle of length {order}")
+            counts.append(len(lengths))
+        self.cycle_counts = tuple(counts)
         if not _transitive(self.perms, self.index):
             raise ModelError("the factors do not act transitively on the cosets")
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """rng.shuffle(x) from 32-bit words fetched in bulk: the same swaps, the same end state.
+
+    CPython's shuffle swaps x[i] with x[j] for i from len(x) - 1 down to 1,
+    where j is the top (i + 1).bit_length() bits of one MT19937 word, drawn
+    again while j > i.  Each step takes at least one word, so a fetch of at
+    most i words is never more than shuffle itself would draw, and
+    getrandbits(32 * k) holds the next k words least significant first.
+    Valid for lists shorter than 2**32, far above MAX_SAMPLER_COSETS.
+    """
+    i = len(x) - 1
+    while i > 0:
+        k = min(i, _SHUFFLE_CHUNK)
+        words = array(_WORD, rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        shift = 32 - (i + 1).bit_length()
+        low = (1 << (31 - shift)) - 2  # the first i whose i + 1 has one bit fewer
+        for w in words:
+            j = w >> shift
+            if j <= i:
+                x[i], x[j] = x[j], x[i]
+                i -= 1
+                if i == low:
+                    shift += 1
+                    low = (low >> 1) - 1
 
 
 def _sample_factor_perm(order: int, index: int, rng: random.Random) -> list[int]:
@@ -148,7 +198,7 @@ def _sample_factor_perm(order: int, index: int, rng: random.Random) -> list[int]
     returns to the block's first.
     """
     pts = list(range(index))
-    rng.shuffle(pts)
+    _shuffle(rng, pts)
     if order == 0:
         return pts
     nxt = pts[1:] + pts[:1]
@@ -166,8 +216,10 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     seed, so the result depends only on (spec, index, seed).  A lone factor
     is transitive only as one index-cycle, so it draws one and never rejects
     (a lone order-m factor is refused before any draw unless index is m).
-    Several factors give up after MAX_ATTEMPTS rejections.  At most
-    MAX_SAMPLER_COSETS cosets (index times factors) are drawn per attempt.
+    Several factors give up after MAX_ATTEMPTS rejections, or sooner when
+    the attempts would draw more than MAX_SAMPLER_DRAWS cosets in all.  At
+    most MAX_SAMPLER_COSETS cosets (index times factors) are drawn per
+    attempt.
     """
     if index < 1:
         raise ModelError(f"index must be positive, got {index}")
@@ -184,7 +236,8 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
             f"no transitive action exists for orders {list(orders)} at index {index}: "
             f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
     lone = len(orders) == 1
-    for attempt in range(MAX_ATTEMPTS):
+    attempts = min(MAX_ATTEMPTS, MAX_SAMPLER_DRAWS // (index * len(orders)))
+    for attempt in range(attempts):
         perms = [
             _sample_factor_perm(index if lone else order, index,
                                 random.Random(derive_seed(seed, j, attempt)))
@@ -193,7 +246,7 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
         if _transitive(perms, index):
             return PermAction(spec, index, perms)
     raise ModelError(
-        f"no transitive action found in {MAX_ATTEMPTS} attempts for orders "
+        f"no transitive action found in {attempts} attempts for orders "
         f"{list(spec.factor_orders)} at index {index}")
 
 
@@ -205,18 +258,15 @@ def subgroup_rank(act: PermAction) -> int:
     the cycle rank of the contracted coset multigraph, where each torsion
     cycle leaves a path of length one less and each infinite factor
     contributes i edges.  The two counts must agree.  PermAction has already
-    checked that the action is transitive.
+    checked that the action is transitive and counted each factor's cycles.
     """
     i = act.index
     orders = act.spec.factor_orders
     chi = i - len(orders) * i + sum(i // m for m in orders if m)
     by_euler = 1 - chi
     edges = 0
-    for order, perm in zip(orders, act.perms):
-        if order:
-            edges += i - len(_cycle_lengths(perm))
-        else:
-            edges += i
+    for order, cycles in zip(orders, act.cycle_counts):
+        edges += i - cycles if order else i
     by_graph = edges - i + 1
     if by_euler != by_graph:
         raise AssertionError(f"rank computations disagree: {by_euler} vs {by_graph}")

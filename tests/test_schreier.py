@@ -26,7 +26,14 @@ from orbitcost.schreier import _modeled_factor_cost
 from orbitcost.unionfind import UnionFind
 
 
+def check_permutation_oracle(perm, index):
+    """Reference permutation check: sort and compare."""
+    if len(perm) != index or sorted(perm) != list(range(index)):
+        raise ModelError(f"each factor needs a permutation of 0..{index - 1}")
+
+
 def cycle_lengths(perm):
+    """Reference cycle walk over a list already known to be a permutation."""
     seen = [False] * len(perm)
     out = []
     for x in range(len(perm)):
@@ -38,6 +45,17 @@ def cycle_lengths(perm):
                 length += 1
             out.append(length)
     return out
+
+
+def factor_error_oracle(order, perm, index):
+    """The per-factor check PermAction made with the sort and a second walk, as a message."""
+    try:
+        check_permutation_oracle(perm, index)
+    except ModelError as e:
+        return str(e)
+    if order and any(length != order for length in cycle_lengths(perm)):
+        return f"an order-{order} factor must act with every cycle of length {order}"
+    return None
 
 
 def transitive_oracle(perms, index):
@@ -120,6 +138,53 @@ def test_action_validates_permutations():
         PermAction(GroupSpec((0,)), 3, [[0, 0, 1]])
 
 
+@pytest.mark.parametrize("perm", [[1.5, 0], [1.0, 0], ["a", 0]],
+                         ids=["float", "integral-float", "str"])
+def test_action_refuses_entries_that_are_not_ints(perm):
+    with pytest.raises(ModelError, match=r"^each factor needs a permutation of 0\.\.1$"):
+        PermAction(GroupSpec((0,)), 2, [perm])
+
+
+@st.composite
+def factor_lists(draw):
+    """An order, an index and an int list that is often not a permutation of 0..index-1."""
+    order = draw(st.sampled_from([0, 2, 3, 4]))
+    index = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["permutation", "free at torsion", "any ints"]))
+    if kind == "permutation":  # cycle lengths are mostly wrong at torsion
+        return order, index, draw(st.permutations(range(index)))
+    if kind == "free at torsion":
+        blocks = draw(st.integers(1, 4))
+        index = (order or 1) * blocks
+        return order, index, factor_perm_oracle(order, index, random.Random(draw(st.integers())))
+    size = draw(st.sampled_from([index, index, index - 1, index + 1]))
+    return order, index, draw(st.lists(st.integers(-3, index + 2), min_size=size, max_size=size))
+
+
+@settings(max_examples=400, deadline=None)
+@given(factor_lists())
+@example((0, 3, [0, 0, 1]))  # a repeat
+@example((0, 2, [1, -1]))  # a negative entry would index the seen array from the end
+@example((0, 3, [1, 2, 3]))  # out of range
+@example((0, 3, [1, 0]))  # too short
+@example((2, 4, [1, 2, 3, 0]))  # a 4-cycle for an order-2 factor
+@example((2, 4, [1, 0, 3, 2]))
+@example((0, 2, [0, 0]))  # the second walk runs into the first cycle
+def test_cycle_walk_matches_the_sort_and_walk_oracle(case):
+    order, index, perm = case
+    expected = factor_error_oracle(order, perm, index)
+    cycle = list(range(1, index)) + [0]  # a second factor that makes any action transitive
+    spec = GroupSpec((order, 0))
+    if expected is None:
+        assert schreier._cycle_lengths(perm, index) == cycle_lengths(perm)
+        act = PermAction(spec, index, [perm, cycle])
+        assert act.cycle_counts == (len(cycle_lengths(perm)), 1)
+    else:
+        with pytest.raises(ModelError) as caught:
+            PermAction(spec, index, [perm, cycle])
+        assert str(caught.value) == expected
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sampled_action_postconditions():
@@ -158,6 +223,31 @@ def test_lone_torsion_factor_is_refused_before_any_draw(monkeypatch):
         sample_free_action(GroupSpec((3,)), 9, 0)
 
 
+def test_sampler_draw_budget_cuts_the_attempts(monkeypatch):
+    # three attempts of 6 x 2 cosets fit the budget, a fourth does not
+    drawn = []
+
+    def counted(order, index, rng):
+        drawn.append(index)
+        return factor_perm_oracle(order, index, rng)
+
+    monkeypatch.setattr(schreier, "MAX_SAMPLER_DRAWS", 3 * 6 * 2 + 11)
+    monkeypatch.setattr(schreier, "_transitive", lambda perms, index: False)
+    monkeypatch.setattr(schreier, "_sample_factor_perm", counted)
+    with pytest.raises(ModelError, match=r"^no transitive action found in 3 attempts "
+                                         r"for orders \[2, 3\] at index 6$"):
+        sample_free_action(GroupSpec((2, 3)), 6, 0)
+    assert drawn == [6] * 6
+
+
+def test_largest_sampled_calls_keep_every_attempt():
+    # (3,3,3) at 1200 has the most cosets per attempt of any call in the tests and benchmark
+    # plans that can reject; a lone factor is accepted on its first draw
+    assert schreier.MAX_SAMPLER_DRAWS // (1200 * 3) >= schreier.MAX_ATTEMPTS == 10_000
+    # the largest call the coset cap admits still gets attempts to spare
+    assert schreier.MAX_SAMPLER_DRAWS // schreier.MAX_SAMPLER_COSETS >= 20
+
+
 def test_sampling_gives_up_after_max_attempts(monkeypatch):
     # every draw is rejected, so the sampler must stop at the cap
     monkeypatch.setattr(schreier, "MAX_ATTEMPTS", 2)
@@ -189,6 +279,31 @@ def test_single_infinite_factor_finds_a_cycle():
 ], ids=["index-1", "identities", "involutions", "index-cycle", "fixed-zero"])
 def test_transitive_pins(perms, index, expected):
     assert schreier._transitive(perms, index) is transitive_oracle(perms, index) is expected
+
+
+def assert_shuffle_matches_random(length, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    x, y = list(range(length)), list(range(length))
+    schreier._shuffle(ours, x)
+    theirs.shuffle(y)
+    assert x == y
+    assert ours.getstate() == theirs.getstate()  # the same words drawn, not one more
+
+
+# lengths where (i + 1).bit_length() steps down, and where the word fetch is split
+SHUFFLE_PINS = sorted({*range(6), *(2**k + d for k in range(13) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("length", SHUFFLE_PINS)
+def test_shuffle_pins(length):
+    for seed in (0, 1, 2**64 - 1):
+        assert_shuffle_matches_random(length, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 2**64 - 1))
+def test_shuffle_matches_random_shuffle(length, seed):
+    assert_shuffle_matches_random(length, seed)
 
 
 @st.composite
