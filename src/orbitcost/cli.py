@@ -42,10 +42,6 @@ def _factors(text: str) -> tuple[int, ...]:
             f"factors are a comma-separated order list, got {text!r}")
 
 
-# Most rows rank-gradient will sample: indices times samples, checked before any draw.
-MAX_GRADIENT_ROWS = 10_000
-
-
 def _indices(text: str) -> range | list[int]:
     """Either 1,2,3 or start:stop:step with an inclusive stop, the latter kept as a range."""
     try:
@@ -341,10 +337,6 @@ def cmd_rank_gradient(ns) -> dict:
             seed = doc.seed
     if factors is None or indices is None:
         raise relcore.ModelError("give factors and indices, by file or by flag")
-    # slicing first keeps len() small, however long a range the flag spans
-    if len(indices[:MAX_GRADIENT_ROWS + 1]) * ns.samples > MAX_GRADIENT_ROWS:
-        raise relcore.ModelError(
-            f"rank gradient samples at most {MAX_GRADIENT_ROWS} rows (indices times samples)")
     seed = 0 if seed is None else seed
     spec = schreier.GroupSpec(factors)
     beta1 = schreier.group_invariants(spec).beta1

@@ -50,13 +50,20 @@ def parse_arc(text: str) -> Arc:
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_float=str)
+            text = fh.read()
     except OSError as e:
         raise FormatError(f"{path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not valid UTF-8 ({e.reason})") from None
+    try:
+        return json.loads(text, parse_float=str)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nests too deeply") from None
+    except ValueError:  # json.loads raises no other: an int past sys.get_int_max_str_digits()
+        raise FormatError(f"{path}: an integer literal passes "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _load(path: str, build):

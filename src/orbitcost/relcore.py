@@ -566,18 +566,9 @@ def restrict_map(g: Graphing, map_name: str, a: Subset) -> Graphing:
     """Shrink one map's domain to a, leaving the other maps alone."""
     if g.space != a.space:
         raise ModelError("graphing and subset live on different spaces")
-    out = []
-    found = False
-    for m in g.maps:
-        if m.name == map_name:
-            found = True
-            out.append(PartialMap(m.name, g.space,
-                                  {x: y for x, y in m.mapping.items() if x in a.members}))
-        else:
-            out.append(m)
-    if not found:
-        raise ModelError(f"no map named {map_name!r}")
-    return Graphing(g.space, out)
+    m = g.map_named(map_name)
+    kept = PartialMap(m.name, g.space, {x: y for x, y in m.mapping.items() if x in a.members})
+    return Graphing(g.space, [kept if other is m else other for other in g.maps])
 
 
 def restrict_relation(r: Relation, a: Subset) -> Relation:

@@ -8,6 +8,7 @@ action.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -21,6 +22,7 @@ from .relcore import ModelError
 MAX_ATTEMPTS = 10_000
 MAX_SAMPLER_COSETS = 2_000_000  # index times factors, checked before any coset list is built
 MAX_SAMPLER_DRAWS = 40_000_000  # cosets drawn per call over all attempts; bounds its time
+MAX_GRADIENT_ROWS = 10_000  # indices times samples per rank_gradient call, checked before any draw
 
 _SHUFFLE_CHUNK = 4096  # 32-bit words fetched per getrandbits call
 _WORD = next(code for code in "IL" if array(code).itemsize == 4)
@@ -287,10 +289,14 @@ def rank_gradient(spec: GroupSpec, indices, seed: int, samples: int = 1) -> list
     For transitive free-at-torsion actions every row lands exactly on the
     predicted first Betti value; the match flag records the comparison
     rather than assuming it.  An empty index list is an error, not an empty
-    table.
+    table.  At most MAX_GRADIENT_ROWS + 1 indices are read from any iterable.
     """
     if samples < 1:
         raise ModelError(f"samples must be positive, got {samples}")
+    indices = list(itertools.islice(indices, MAX_GRADIENT_ROWS + 1))
+    if len(indices) * samples > MAX_GRADIENT_ROWS:
+        raise ModelError(
+            f"rank gradient samples at most {MAX_GRADIENT_ROWS} rows (indices times samples)")
     beta1 = group_invariants(spec).beta1
     rows = []
     for index in indices:
@@ -315,12 +321,12 @@ def _modeled_factor_cost(order: int) -> Fraction:
     """Re-price one factor through the finite relation calculus.
 
     A finite order m is the minimal cost of the one-class relation on m
-    atoms; the infinite factor is the cost of the single full map cycling
-    one atom.  Costs are normalised by n, so more atoms or more classes of
+    atoms, kept as its period-1 base; the infinite factor is the cost of the
+    single full map cycling one atom.  Costs are normalised by n, so more atoms or more classes of
     the same size give the same value.
     """
     space = relcore.FiniteSpace(order or 1)
-    rel = relcore.Relation(space, [0] * space.n)
+    rel = relcore.Relation.periodic(space, [0])
     if order == 0:
         return relcore.cost(relcore.Graphing(space, [relcore.single_full_generator(rel)]))
     return relcore.min_cost(rel)
@@ -364,10 +370,7 @@ def coincidence_report(specs, max_index: int = 120, seed: int = 0) -> list[Coinc
         p = subgroup_rank(act)
         measured = 1 + Fraction(p - 1, index)
         modeled = tuple(_modeled_factor_cost(m) for m in spec.factor_orders)
-        match = (measured == inv.predicted_cost
-                 and modeled == inv.factor_costs
-                 and sum(modeled, Fraction(0)) == inv.predicted_cost
-                 and inv.rank == len(spec.factor_orders))
+        match = measured == inv.predicted_cost and modeled == inv.factor_costs
         rows.append(CoincidenceRow(spec.factor_orders, inv.rank, inv.predicted_cost,
                                    inv.beta1, index, measured, inv.factor_costs,
                                    modeled, match))

@@ -442,6 +442,16 @@ def test_golden_stdout(capsys, golden_files, argv, expected):
     assert (code, captured.out, captured.err) == (0, expected, "")
 
 
+# JSON texts that json.dumps cannot write, so the loader-error cases take them as raw text:
+# 100000 nested arrays (3.13 parses 2000) and a 5000-digit integer literal
+DEEP = "[" * 100_000 + "]" * 100_000
+LONG_INT = "9" * 5000
+DEEP_GRAPHING = '{"space": {"n": 3}, "maps": ' + DEEP + "}"
+DEEP_RELATION = '{"n": 3, "classes": ' + DEEP + "}"
+LONG_INT_GRAPHING = '{"space": {"n": ' + LONG_INT + '}, "maps": []}'
+LONG_INT_RELATION = '{"n": ' + LONG_INT + ', "classes": [[0]]}'
+
+
 @pytest.mark.parametrize("argv, doc, message", [
     (["cost"], {"space": {"n": 3}}, "{path}: missing 'maps' (a list of map objects)"),
     (["min-cost"], {"n": 3}, "{path}: missing 'classes' (a list of atom lists)"),
@@ -475,10 +485,16 @@ def test_golden_stdout(capsys, golden_files, argv, expected):
     (["min-cost"], {"n": 3, "classes": {}}, "{path}: classes must be a list of atom lists"),
     (["min-cost"], {"n": 3, "classes": [[]]}, "{path}: classes[0] must be a nonempty atom list"),
     (["rank-gradient"], {"factors": 2, "indices": [1]}, "{path}: factors must be a list of integers"),
+    pytest.param(["cost"], DEEP_GRAPHING, "{path}: JSON nests too deeply", id="cost-deep"),
+    pytest.param(["min-cost"], DEEP_RELATION, "{path}: JSON nests too deeply", id="min-cost-deep"),
+    pytest.param(["cost"], LONG_INT_GRAPHING, "{path}: an integer literal passes 4300 digits",
+                 id="cost-long-int"),
+    pytest.param(["min-cost"], LONG_INT_RELATION, "{path}: an integer literal passes 4300 digits",
+                 id="min-cost-long-int"),
 ])
 def test_golden_loader_errors(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, lines = run_error(capsys, argv + [str(path)])
     assert (code, lines) == (1, ["error: " + message.format(path=path)])
 
@@ -613,11 +629,48 @@ def test_index_range_past_the_row_cap_is_one_error_line():
     # the range is never listed: its length is read from a slice of at most cap + 1 entries;
     # each runs in a child with a memory and a time limit, so a lost cap fails, not hangs
     assert isinstance(cli._indices("1:100000000000:1"), range)
-    message = (f"error: rank gradient samples at most {cli.MAX_GRADIENT_ROWS} rows "
+    message = (f"error: rank gradient samples at most {schreier.MAX_GRADIENT_ROWS} rows "
                "(indices times samples)\n")
     for flags in (["--indices", "1:100000000000:1"], ["--indices", "1:" + "9" * 40],
-                  ["--indices", "6,12", "--samples", str(cli.MAX_GRADIENT_ROWS)]):
+                  ["--indices", "6,12", "--samples", str(schreier.MAX_GRADIENT_ROWS)]):
         assert run_capped(["rank-gradient", "--factors", "0,0", *flags]) == (1, "", message)
+
+
+def test_rank_gradient_reports_a_bad_factor_before_the_row_cap():
+    assert run_capped(["rank-gradient", "--factors", "1", "--indices", "1:100000000000:1"]) == (
+        1, "", "error: factor order 1 must be 0 or at least 2\n")
+
+
+def test_factor_repricing_at_a_trillion_atoms_in_bounded_memory():
+    # one class on 10**12 atoms is priced on its period; a listed relation fails the child at once
+    code = ("from orbitcost.schreier import _modeled_factor_cost; "
+            "print(_modeled_factor_cost(10**12))")
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "999999999999/1000000000000\n", "")
+
+
+@pytest.mark.parametrize("doc, message", [
+    (DEEP_GRAPHING, "JSON nests too deeply"),
+    (LONG_INT_GRAPHING, "an integer literal passes 4300 digits"),
+], ids=["deep", "long-int"])
+def test_json_past_the_parser_limits_is_one_error_line(tmp_path, doc, message):
+    # json raises RecursionError and ValueError here; the loader makes each one error line
+    path = tmp_path / "limit.json"
+    path.write_text(doc)
+    assert run_capped(["cost", str(path)]) == (1, "", f"error: {path}: {message}\n")
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off sys.path, so an import from outside the stdlib fails here
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "orbitcost", "schreier-rank", "--factors", "2,3",
+         "--index", "6"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "rank: 2"
 
 
 @pytest.mark.parametrize("argv", [

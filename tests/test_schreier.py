@@ -1,4 +1,5 @@
 """Free products of cyclic groups: sampling contract and rank arithmetic."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -427,6 +428,22 @@ def test_rank_gradient_vanishes_for_infinite_dihedral():
 @pytest.mark.parametrize("indices", [[], range(6, 3)])
 def test_rank_gradient_rejects_an_empty_index_list(indices):
     with pytest.raises(ModelError, match="at least one index"):
+        rank_gradient(GroupSpec((2, 3)), indices, 0)
+
+
+@pytest.mark.parametrize("indices", [
+    range(6, 10**12, 6),
+    (6 * k for k in itertools.count(1)),
+    [6] * (schreier.MAX_GRADIENT_ROWS + 1),
+], ids=["range", "generator", "list"])
+def test_rank_gradient_refuses_past_the_row_cap_before_any_draw(monkeypatch, indices):
+    def no_draws(*args):
+        raise AssertionError("sampled a permutation")
+
+    monkeypatch.setattr(schreier, "_sample_factor_perm", no_draws)
+    with pytest.raises(ModelError, match=rf"^rank gradient samples at most "
+                                         rf"{schreier.MAX_GRADIENT_ROWS} rows \(indices times "
+                                         rf"samples\)$"):
         rank_gradient(GroupSpec((2, 3)), indices, 0)
 
 
