@@ -1,7 +1,8 @@
 """Command line front end.
 
-Reports come out in text or JSON; for a fixed seed every invocation is
-byte-identical.  Exit codes: 0 on success, 1 when the inputs break a domain
+Each command returns its fields as exact values; main adds the command name
+and render writes the report in text or JSON.  For a fixed seed every
+invocation is byte-identical.  Exit codes: 0 on success, 1 when the inputs break a domain
 rule, 2 on usage errors.
 """
 from __future__ import annotations
@@ -9,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import files, relcore, rotation, schreier
-from .files import fmt_rational as _frac
+from .files import fmt_rational
 
 
 def _u64(text: str) -> int:
@@ -19,9 +21,10 @@ def _u64(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+    try:
+        return files._as_seed(value)
+    except relcore.ModelError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _positive(text: str) -> int:
@@ -176,37 +179,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_cost(ns) -> dict:
     g = files.load_graphing(ns.graphing)
-    return {"command": "cost", "cost": _frac(relcore.cost(g))}
+    return {"cost": relcore.cost(g)}
 
 
 def cmd_nu(ns) -> dict:
     g = files.load_graphing(ns.graphing)
-    return {"command": "nu", "nu": _frac(relcore.nu(g))}
+    return {"nu": relcore.nu(g)}
 
 
 def cmd_gen_check(ns) -> dict:
     g = files.load_graphing(ns.graphing)
     r = files.load_relation(ns.relation)
-    return {"command": "gen-check", "generates": relcore.generates(g, r)}
+    return {"generates": relcore.generates(g, r)}
 
 
 def cmd_treeing(ns) -> dict:
     g = files.load_graphing(ns.graphing)
-    return {"command": "treeing", "is_treeing": relcore.is_treeing(g)}
+    return {"is_treeing": relcore.is_treeing(g)}
 
 
 def cmd_min_cost(ns) -> dict:
     r = files.load_relation(ns.relation)
-    return {"command": "min-cost",
-            "min_cost": _frac(relcore.min_cost(r)),
-            "classes": r.class_count()}
+    return {"min_cost": relcore.min_cost(r), "classes": r.class_count()}
 
 
 def cmd_reduce(ns) -> dict:
     g = files.load_graphing(ns.graphing)
     reduced = relcore.reduce_to_treeing(g)
-    return {"command": "reduce",
-            "cost": _frac(relcore.cost(reduced)),
+    return {"cost": relcore.cost(reduced),
             "is_treeing": relcore.is_treeing(reduced),
             "graphing": files.dump_graphing(reduced)}
 
@@ -214,8 +214,7 @@ def cmd_reduce(ns) -> dict:
 def cmd_single_gen(ns) -> dict:
     r = files.load_relation(ns.relation)
     psi = relcore.single_full_generator(r)
-    return {"command": "single-gen",
-            "cost": _frac(relcore.cost(relcore.Graphing(r.space, [psi]))),
+    return {"cost": relcore.cost(relcore.Graphing(r.space, [psi])),
             "map": files.dump_map(psi)}
 
 
@@ -229,23 +228,20 @@ def cmd_first_return(ns) -> dict:
         psi = g.map_named(ns.map_name)
     a = files.make_subset(g.space, ns.members, ns.arc)
     induced = relcore.first_return_map(psi, a)
-    return {"command": "first-return", "map": files.dump_map(induced)}
+    return {"map": files.dump_map(induced)}
 
 
 def cmd_compress(ns) -> dict:
     r = files.load_relation(ns.relation)
     a = files.make_subset(r.space, ns.members, ns.arc)
     lhs, rhs = relcore.compression_sides(r, a)
-    return {"command": "compress",
-            "lhs": _frac(lhs), "rhs": _frac(rhs), "equal": lhs == rhs}
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
 def cmd_brute_min(ns) -> dict:
     r = files.load_relation(ns.relation)
     value = relcore.brute_force_min_cost(r, ns.edge_budget)
-    return {"command": "brute-min",
-            "min_cost": _frac(value),
-            "edge_budget": ns.edge_budget}
+    return {"min_cost": value, "edge_budget": ns.edge_budget}
 
 
 def cmd_rotation_demo(ns) -> dict:
@@ -262,8 +258,7 @@ def cmd_rotation_demo(ns) -> dict:
             raise relcore.ModelError("no restricted step to demonstrate")
         restricted = others[0]
     path = rotation.connection_path(doc.system, doc.full, restricted, arc, ns.x)
-    return {"command": "rotation-demo",
-            "start": path.start,
+    return {"start": path.start,
             "end": path.end,
             "length": path.length,
             "hit": path.hit,
@@ -278,11 +273,9 @@ def cmd_eps_curve(ns) -> dict:
     if not doc.eps:
         raise relcore.ModelError("the rotation file must list eps values")
     curve = rotation.cost_epsilon_curve(doc.system, doc.full, doc.eps)
-    return {"command": "eps-curve",
-            "rows": [{"eps": _frac(row.eps), "arc_len": row.arc_len,
-                      "cost": _frac(row.cost), "generates": row.generates}
-                     for row in curve.rows],
-            "infimum": None if curve.infimum is None else _frac(curve.infimum)}
+    return {"rows": [{"eps": row.eps, "arc_len": row.arc_len, "cost": row.cost,
+                      "generates": row.generates} for row in curve.rows],
+            "infimum": curve.infimum}
 
 
 def cmd_invariants(ns) -> dict:
@@ -308,12 +301,8 @@ def cmd_invariants(ns) -> dict:
         checks["brute_force_agrees"] = brute == floor
     except relcore.EdgeBudgetError:
         brute = None
-    return {"command": "invariants",
-            "cost": _frac(total),
-            "nu": _frac(nu),
-            "min_cost": _frac(floor),
-            "reduced_cost": _frac(reduced_cost),
-            "brute_min_cost": None if brute is None else _frac(brute),
+    return {"cost": total, "nu": nu, "min_cost": floor, "reduced_cost": reduced_cost,
+            "brute_min_cost": brute,
             "checks": checks,
             "ok": all(checks.values())}
 
@@ -321,8 +310,7 @@ def cmd_invariants(ns) -> dict:
 def cmd_schreier_rank(ns) -> dict:
     spec = schreier.GroupSpec(ns.factors)
     act = schreier.sample_free_action(spec, ns.index, _seed(ns))
-    return {"command": "schreier-rank",
-            "factors": ",".join(str(m) for m in spec.factor_orders),
+    return {"factors": ",".join(str(m) for m in spec.factor_orders),
             "index": ns.index,
             "rank": schreier.subgroup_rank(act)}
 
@@ -341,11 +329,10 @@ def cmd_rank_gradient(ns) -> dict:
     spec = schreier.GroupSpec(factors)
     beta1 = schreier.group_invariants(spec).beta1
     rows = schreier.rank_gradient(spec, indices, seed, ns.samples)
-    return {"command": "rank-gradient",
-            "factors": ",".join(str(m) for m in spec.factor_orders),
-            "beta1": _frac(beta1),
+    return {"factors": ",".join(str(m) for m in spec.factor_orders),
+            "beta1": beta1,
             "rows": [{"index": row.index, "rank": row.rank,
-                      "gradient": _frac(row.gradient), "beta1": _frac(beta1),
+                      "gradient": row.gradient, "beta1": beta1,
                       "match": row.matches_beta1}
                      for row in rows],
             "all_match": all(row.matches_beta1 for row in rows)}
@@ -354,21 +341,19 @@ def cmd_rank_gradient(ns) -> dict:
 def cmd_compress_check(ns) -> dict:
     spec = schreier.GroupSpec(ns.factors)
     lhs, rhs = schreier.compression_check(spec, ns.index, _seed(ns))
-    return {"command": "compress-check",
-            "lhs": _frac(lhs), "rhs": _frac(rhs), "equal": lhs == rhs}
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
 def cmd_coincidence(ns) -> dict:
     rows = schreier.coincidence_report(ns.specs, ns.max_index, _seed(ns))
-    return {"command": "coincidence",
-            "rows": [{"factors": ",".join(str(m) for m in row.factor_orders),
+    return {"rows": [{"factors": ",".join(str(m) for m in row.factor_orders),
                       "rank": row.rank,
-                      "predicted_cost": _frac(row.predicted_cost),
-                      "beta1": _frac(row.beta1),
+                      "predicted_cost": row.predicted_cost,
+                      "beta1": row.beta1,
                       "index": row.index,
-                      "measured_cost": _frac(row.measured_cost),
-                      "factor_costs": ",".join(_frac(c) for c in row.factor_costs),
-                      "modeled_costs": ",".join(_frac(c) for c in row.modeled_factor_costs),
+                      "measured_cost": row.measured_cost,
+                      "factor_costs": ",".join(map(fmt_rational, row.factor_costs)),
+                      "modeled_costs": ",".join(map(fmt_rational, row.modeled_factor_costs)),
                       "match": row.match}
                      for row in rows],
             "all_match": all(row.match for row in rows)}
@@ -381,7 +366,9 @@ def _scalar(value) -> str:
         return "null"
     if isinstance(value, (int, str)):
         return str(value)
-    return json.dumps(value, sort_keys=True)
+    if isinstance(value, Fraction):
+        return fmt_rational(value)
+    return json.dumps(value, sort_keys=True, default=fmt_rational)
 
 
 def _table(rows: list[dict]) -> list[str]:
@@ -395,8 +382,9 @@ def _table(rows: list[dict]) -> list[str]:
 
 
 def render(report: dict, fmt: str) -> str:
+    """The one place a ratio becomes text: every Fraction prints as fmt_rational's p/q."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True, default=fmt_rational) + "\n"
     lines = []
     for key, value in report.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
@@ -415,11 +403,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        report = ns.func(ns)
+        text = render({"command": ns.command, **ns.func(ns)}, ns.format)
     except relcore.ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    sys.stdout.write(render(report, ns.format))
+    sys.stdout.write(text)
     return 0
 
 

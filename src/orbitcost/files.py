@@ -83,6 +83,13 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _as_seed(value) -> int:
+    """A master seed, from --seed or a Schreier file: an integer in [0, 2**64)."""
+    if not 0 <= _as_int(value, "seed") < 1 << 64:
+        raise ModelError("seed must fit in 64 unsigned bits")
+    return value
+
+
 def _expect(doc: dict, key: str, what: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ModelError(f"missing {key!r} ({what})")
@@ -119,15 +126,13 @@ def _build_graphing(doc) -> Graphing:
 
 
 def _read_pairs(raw, name: str):
+    """Yield each (source, target) pair of a pairs list once it is checked."""
     if not isinstance(raw, list):
         raise ModelError(f"map {name!r}: pairs must be a list")
-    out = []
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise ModelError(f"map {name!r}: each pair must be a two-atom list")
-        out.append((_as_int(item[0], f"map {name!r} source"),
-                    _as_int(item[1], f"map {name!r} target")))
-    return out
+        yield _as_int(item[0], f"map {name!r} source"), _as_int(item[1], f"map {name!r} target")
 
 
 def _rotation_map(name: str, space: FiniteSpace, s: int, domain) -> PartialMap:
@@ -214,9 +219,7 @@ def _build_schreier(doc) -> SchreierDoc:
     if not isinstance(raw_indices, list):
         raise ModelError("indices must be a list of integers")
     indices = [_as_int(i, "index") for i in raw_indices]
-    seed = None
-    if "seed" in doc:
-        seed = _as_int(doc["seed"], "seed")
+    seed = _as_seed(doc["seed"]) if "seed" in doc else None
     return SchreierDoc(factors, indices, seed)
 
 
@@ -246,7 +249,10 @@ def _build_rotation(doc) -> RotationDoc:
     if full is not None:
         if not isinstance(full, str) or full not in steps:
             raise ModelError(f"full must name one of the steps, got {full!r}")
-    eps = [parse_rational(v) for v in doc.get("eps", [])]
+    eps = doc.get("eps", [])
+    if not isinstance(eps, list):
+        raise ModelError("eps must be a list of ratios")
+    eps = [parse_rational(v) for v in eps]
     arc = None
     if "arc" in doc:
         arc = Arc(*_read_arc(doc["arc"], "arc must be a [start, length] pair"))

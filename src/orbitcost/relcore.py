@@ -37,6 +37,7 @@ class FormatError(ModelError):
 # 10**exponent exactly, in time that grows faster than linearly (a hang past
 # about 10**6), while anything past 4300 digits cannot be printed anyway.
 MAX_DECIMAL_EXPONENT = 10_000
+MAX_RELATION_ATOMS = 10_000_000  # n that Relation.from_classes lists atom by atom
 
 
 def parse_rational(text) -> Fraction:
@@ -281,6 +282,9 @@ class Relation:
     @classmethod
     def from_classes(cls, space: FiniteSpace, groups) -> "Relation":
         """Build from lists of atoms; atoms left unlisted become singletons."""
+        if space.n > MAX_RELATION_ATOMS:
+            raise ModelError(f"a relation read from classes has at most {MAX_RELATION_ATOMS} "
+                             f"atoms, got n={space.n}")
         parent = list(range(space.n))
         seen = [False] * space.n
         for group in groups:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orbitcost
-from orbitcost import cli, schreier
+from orbitcost import cli, relcore, schreier
 from orbitcost.cli import main
 
 
@@ -410,6 +410,302 @@ graphing:
   space: {"n": 12}
   maps: [{"name": "a", "pairs": [[0, 8], [1, 9], [2, 10], [3, 11], [4, 0], [5, 1], [6, 2], [7, 3]]}, {"name": "b", "pairs": [[1, 6], [3, 2]]}]
 """),
+    # every verb has a text golden above or here, and each one a JSON golden
+    (["cost", "{graphing}"], """\
+command: cost
+cost: 6/5
+"""),
+    (["nu", "{graphing}"], """\
+command: nu
+nu: 6/5
+"""),
+    (["min-cost", "{relation}"], """\
+command: min-cost
+min_cost: 2/5
+classes: 3
+"""),
+    (["first-return", "{graphing}", "--map", "a", "--arc", "8:4"], """\
+command: first-return
+map:
+  name: a_return
+  pairs: [[0, 1], [1, 8], [8, 9], [9, 0]]
+"""),
+    (["compress", "{relation}", "--members", "0,2,4"], """\
+command: compress
+lhs: -1
+rhs: -9/25
+equal: false
+"""),
+    (["compress", "{relation}", "--arc", "2:3"], """\
+command: compress
+lhs: -1
+rhs: -9/25
+equal: false
+"""),
+    (["brute-min", "{relation}"], """\
+command: brute-min
+min_cost: 2/5
+edge_budget: 20
+"""),
+    (["rotation-demo", "{rotation}", "--x", "5"], """\
+command: rotation-demo
+start: 5
+end: 362
+length: 1
+hit: 5
+segments:
+  step  power  count
+  b     1      1
+"""),
+    (["compress-check", "--factors", "2,3", "--index", "6", "--seed", "1"], """\
+command: compress-check
+lhs: 1
+rhs: 1
+equal: true
+"""),
+    (["rank-gradient", "{schreier}"], """\
+command: rank-gradient
+factors: 2,3
+beta1: 1/6
+rows:
+  index  rank  gradient  beta1  match
+  6      2     1/6       1/6    true
+  12     3     1/6       1/6    true
+all_match: true
+"""),
+    (["cost", "{graphing}", "--format", "json"], """\
+{
+  "command": "cost",
+  "cost": "6/5"
+}
+"""),
+    (["nu", "{mixed}", "--format", "json"], """\
+{
+  "command": "nu",
+  "nu": "5/4"
+}
+"""),
+    (["gen-check", "{mixed}", "{mixed_classes}", "--format", "json"], """\
+{
+  "command": "gen-check",
+  "generates": true
+}
+"""),
+    (["treeing", "{mixed}", "--format", "json"], """\
+{
+  "command": "treeing",
+  "is_treeing": false
+}
+"""),
+    (["min-cost", "{mixed_classes}", "--format", "json"], """\
+{
+  "classes": 2,
+  "command": "min-cost",
+  "min_cost": "5/6"
+}
+"""),
+    (["reduce", "{small}", "--format", "json"], """\
+{
+  "command": "reduce",
+  "cost": "1/2",
+  "graphing": {
+    "maps": [
+      {
+        "name": "a",
+        "pairs": [
+          [
+            0,
+            1
+          ],
+          [
+            1,
+            2
+          ]
+        ]
+      },
+      {
+        "name": "b",
+        "pairs": [
+          [
+            3,
+            4
+          ]
+        ]
+      }
+    ],
+    "space": {
+      "n": 6
+    }
+  },
+  "is_treeing": true
+}
+"""),
+    (["single-gen", "{relation}", "--format", "json"], """\
+{
+  "command": "single-gen",
+  "cost": "1",
+  "map": {
+    "name": "cycles",
+    "pairs": [
+      [
+        0,
+        1
+      ],
+      [
+        1,
+        3
+      ],
+      [
+        2,
+        2
+      ],
+      [
+        3,
+        0
+      ],
+      [
+        4,
+        4
+      ]
+    ]
+  }
+}
+"""),
+    (["first-return", "{graphing}", "--map", "a", "--members", "0,4", "--format", "json"], """\
+{
+  "command": "first-return",
+  "map": {
+    "name": "a_return",
+    "pairs": [
+      [
+        0,
+        4
+      ],
+      [
+        4,
+        0
+      ]
+    ]
+  }
+}
+"""),
+    (["compress", "{relation}", "--arc", "2:3", "--format", "json"], """\
+{
+  "command": "compress",
+  "equal": false,
+  "lhs": "-1",
+  "rhs": "-9/25"
+}
+"""),
+    (["brute-min", "{relation}", "--edge-budget", "10", "--format", "json"], """\
+{
+  "command": "brute-min",
+  "edge_budget": 10,
+  "min_cost": "2/5"
+}
+"""),
+    (["rotation-demo", "{rotation}", "--x", "5", "--restricted", "b", "--format", "json"], """\
+{
+  "command": "rotation-demo",
+  "end": 362,
+  "hit": 5,
+  "length": 1,
+  "segments": [
+    {
+      "count": 1,
+      "power": 1,
+      "step": "b"
+    }
+  ],
+  "start": 5
+}
+"""),
+    (["eps-curve", "{rotation}", "--format", "json"], """\
+{
+  "command": "eps-curve",
+  "infimum": "1",
+  "rows": [
+    {
+      "arc_len": 100,
+      "cost": "11/10",
+      "eps": "1/10",
+      "generates": true
+    },
+    {
+      "arc_len": 10,
+      "cost": "101/100",
+      "eps": "1/100",
+      "generates": true
+    },
+    {
+      "arc_len": 1,
+      "cost": "1001/1000",
+      "eps": "1/1000",
+      "generates": true
+    }
+  ]
+}
+"""),
+    (["invariants", "{small}", "--edge-budget", "1", "--format", "json"], """\
+{
+  "brute_min_cost": null,
+  "checks": {
+    "cost_ge_nu": true,
+    "nu_ge_min_cost": true,
+    "reduced_cost_is_min": true,
+    "reduced_generates": true,
+    "reduced_is_treeing": true,
+    "spanning_cost_is_min": true,
+    "transversal_identity": true
+  },
+  "command": "invariants",
+  "cost": "2/3",
+  "min_cost": "1/2",
+  "nu": "2/3",
+  "ok": true,
+  "reduced_cost": "1/2"
+}
+"""),
+    (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", "4", "--format", "json"], """\
+{
+  "command": "schreier-rank",
+  "factors": "2,3",
+  "index": 6,
+  "rank": 2
+}
+"""),
+    (["rank-gradient", "{schreier}", "--format", "json"], """\
+{
+  "all_match": true,
+  "beta1": "1/6",
+  "command": "rank-gradient",
+  "factors": "2,3",
+  "rows": [
+    {
+      "beta1": "1/6",
+      "gradient": "1/6",
+      "index": 6,
+      "match": true,
+      "rank": 2
+    },
+    {
+      "beta1": "1/6",
+      "gradient": "1/6",
+      "index": 12,
+      "match": true,
+      "rank": 3
+    }
+  ]
+}
+"""),
+    (["compress-check", "--factors", "0,0", "--index", "4", "--format", "json"], """\
+{
+  "command": "compress-check",
+  "equal": true,
+  "lhs": "4",
+  "rhs": "4"
+}
+"""),
 ]
 
 
@@ -429,9 +725,12 @@ def golden_files(tmp_path, graphing_file, rotation_file):
         {"n": 12, "classes": [[0, 4, 8], [1, 2, 3, 5, 6, 7, 9, 10, 11]]}))
     one_class = tmp_path / "one_class.json"
     one_class.write_text(json.dumps({"n": 12, "classes": [list(range(12))]}))
+    schreier_doc = tmp_path / "schreier.json"
+    schreier_doc.write_text(json.dumps({"factors": [2, 3], "indices": [6, 12], "seed": 3}))
     return {"small": str(small), "graphing": graphing_file,
             "rotation": rotation_file, "relation": str(relation), "mixed": str(mixed),
-            "mixed_classes": str(mixed_classes), "one_class": str(one_class)}
+            "mixed_classes": str(mixed_classes), "one_class": str(one_class),
+            "schreier": str(schreier_doc)}
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_STDOUT,
@@ -450,6 +749,7 @@ DEEP_GRAPHING = '{"space": {"n": 3}, "maps": ' + DEEP + "}"
 DEEP_RELATION = '{"n": 3, "classes": ' + DEEP + "}"
 LONG_INT_GRAPHING = '{"space": {"n": ' + LONG_INT + '}, "maps": []}'
 LONG_INT_RELATION = '{"n": ' + LONG_INT + ', "classes": [[0]]}'
+ROTATION_AB = {"n": 10, "steps": {"a": 1, "b": 3}}
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -491,6 +791,23 @@ LONG_INT_RELATION = '{"n": ' + LONG_INT + ', "classes": [[0]]}'
                  id="cost-long-int"),
     pytest.param(["min-cost"], LONG_INT_RELATION, "{path}: an integer literal passes 4300 digits",
                  id="min-cost-long-int"),
+    # eps must be a list, not anything iterable; a file seed obeys the --seed rule
+    pytest.param(["eps-curve"], {**ROTATION_AB, "full": "a", "eps": 5},
+                 "{path}: eps must be a list of ratios", id="eps-int"),
+    pytest.param(["eps-curve"], {**ROTATION_AB, "full": "a", "eps": None},
+                 "{path}: eps must be a list of ratios", id="eps-null"),
+    pytest.param(["eps-curve"], {**ROTATION_AB, "full": "a", "eps": "1"},
+                 "{path}: eps must be a list of ratios", id="eps-string"),
+    pytest.param(["eps-curve"], {**ROTATION_AB, "full": "a", "eps": {"1/2": 0}},
+                 "{path}: eps must be a list of ratios", id="eps-object"),
+    pytest.param(["rank-gradient"], {"factors": [2, 3], "indices": [6], "seed": -5},
+                 "{path}: seed must fit in 64 unsigned bits", id="seed-negative"),
+    pytest.param(["rank-gradient"], {"factors": [2, 3], "indices": [6], "seed": 2**64 + 5},
+                 "{path}: seed must fit in 64 unsigned bits", id="seed-past-64-bits"),
+    # the pairs reach the map as they are read, so a duplicate source is found first
+    pytest.param(["cost"],
+                 {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [[0, 1], [0, 2], [1]]}]},
+                 "{path}: map 'a': duplicate source atom 0", id="pairs-duplicate-then-malformed"),
 ])
 def test_golden_loader_errors(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "bad.json"
@@ -499,7 +816,6 @@ def test_golden_loader_errors(capsys, tmp_path, argv, doc, message):
     assert (code, lines) == (1, ["error: " + message.format(path=path)])
 
 
-ROTATION_AB = {"n": 10, "steps": {"a": 1, "b": 3}}
 ONE_CLASS = {"n": 4, "classes": [[0, 1]]}
 
 
@@ -532,6 +848,8 @@ ONE_CLASS = {"n": 4, "classes": [[0, 1]]}
     (["coincidence", "--specs", "2,x"], None, 2,
      "orbitcost coincidence: error: argument --specs: "
      "specs are semicolon-separated factor lists, got '2,x'"),
+    (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", str(2**64 + 5)], None, 2,
+     "orbitcost schreier-rank: error: argument --seed: seed must fit in 64 unsigned bits"),
 ])
 def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
     # exit 1 is the one error line of main; exit 2 is argparse's usage text ending in its line
@@ -547,10 +865,12 @@ def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
     assert (lines if code == 1 else lines[-1:]) == [line]
 
 
-def test_tiny_eps_is_one_error_line(capsys, tmp_path):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_tiny_eps_is_one_error_line(capsys, tmp_path, fmt):
+    # the ratio is computed, then refused by render; run_error checks that stdout stays empty
     path = tmp_path / "tiny.json"
     path.write_text('{"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "eps": ["1e-5000"]}')
-    code, lines = run_error(capsys, ["eps-curve", str(path)])
+    code, lines = run_error(capsys, ["eps-curve", str(path), "--format", fmt])
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert lines[0].endswith("digits cannot be printed")
@@ -683,6 +1003,15 @@ def test_sampler_past_the_coset_cap_is_one_error_line(argv):
     assert run_capped(argv) == (
         1, "", f"error: the sampler draws at most {schreier.MAX_SAMPLER_COSETS} cosets "
                "(index times factors), got 600000000 x 2\n")
+
+
+def test_relation_file_past_the_atom_cap_is_one_error_line(tmp_path):
+    # from_classes would list 10**9 atoms first; the child's memory limit stops a regression
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 10**9, "classes": []}))
+    assert run_capped(["min-cost", str(path)]) == (
+        1, "", f"error: {path}: a relation read from classes has at most "
+               f"{relcore.MAX_RELATION_ATOMS} atoms, got n=1000000000\n")
 
 
 def test_eps_exponent_past_the_bound_is_one_error_line(tmp_path):
