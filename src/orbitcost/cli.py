@@ -11,9 +11,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
-from . import files, relcore, rotation, schreier
+from . import files, relcore
 from .files import fmt_rational
+
+_PAIRS_PER_PIECE = 1024  # int pairs per piece of JSON text; small pieces keep the peak memory low
 
 
 def _u64(text: str) -> int:
@@ -257,7 +260,8 @@ def cmd_rotation_demo(ns) -> dict:
         if not others:
             raise relcore.ModelError("no restricted step to demonstrate")
         restricted = others[0]
-    path = rotation.connection_path(doc.system, doc.full, restricted, arc, ns.x)
+    from .rotation import connection_path
+    path = connection_path(doc.system, doc.full, restricted, arc, ns.x)
     return {"start": path.start,
             "end": path.end,
             "length": path.length,
@@ -272,7 +276,8 @@ def cmd_eps_curve(ns) -> dict:
         raise relcore.ModelError("the rotation file must name a full step")
     if not doc.eps:
         raise relcore.ModelError("the rotation file must list eps values")
-    curve = rotation.cost_epsilon_curve(doc.system, doc.full, doc.eps)
+    from .rotation import cost_epsilon_curve
+    curve = cost_epsilon_curve(doc.system, doc.full, doc.eps)
     return {"rows": [{"eps": row.eps, "arc_len": row.arc_len, "cost": row.cost,
                       "generates": row.generates} for row in curve.rows],
             "infimum": curve.infimum}
@@ -308,14 +313,16 @@ def cmd_invariants(ns) -> dict:
 
 
 def cmd_schreier_rank(ns) -> dict:
-    spec = schreier.GroupSpec(ns.factors)
-    act = schreier.sample_free_action(spec, ns.index, _seed(ns))
+    from .schreier import GroupSpec, sample_free_action, subgroup_rank
+    spec = GroupSpec(ns.factors)
+    act = sample_free_action(spec, ns.index, _seed(ns))
     return {"factors": ",".join(str(m) for m in spec.factor_orders),
             "index": ns.index,
-            "rank": schreier.subgroup_rank(act)}
+            "rank": subgroup_rank(act)}
 
 
 def cmd_rank_gradient(ns) -> dict:
+    from .schreier import GroupSpec, group_invariants, rank_gradient
     factors, indices, seed = ns.factors, ns.indices, ns.seed
     if ns.schreier is not None:
         doc = files.load_schreier(ns.schreier)
@@ -326,9 +333,9 @@ def cmd_rank_gradient(ns) -> dict:
     if factors is None or indices is None:
         raise relcore.ModelError("give factors and indices, by file or by flag")
     seed = 0 if seed is None else seed
-    spec = schreier.GroupSpec(factors)
-    beta1 = schreier.group_invariants(spec).beta1
-    rows = schreier.rank_gradient(spec, indices, seed, ns.samples)
+    spec = GroupSpec(factors)
+    beta1 = group_invariants(spec).beta1
+    rows = rank_gradient(spec, indices, seed, ns.samples)
     return {"factors": ",".join(str(m) for m in spec.factor_orders),
             "beta1": beta1,
             "rows": [{"index": row.index, "rank": row.rank,
@@ -339,13 +346,15 @@ def cmd_rank_gradient(ns) -> dict:
 
 
 def cmd_compress_check(ns) -> dict:
-    spec = schreier.GroupSpec(ns.factors)
-    lhs, rhs = schreier.compression_check(spec, ns.index, _seed(ns))
+    from .schreier import GroupSpec, compression_check
+    spec = GroupSpec(ns.factors)
+    lhs, rhs = compression_check(spec, ns.index, _seed(ns))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
 def cmd_coincidence(ns) -> dict:
-    rows = schreier.coincidence_report(ns.specs, ns.max_index, _seed(ns))
+    from .schreier import coincidence_report
+    rows = coincidence_report(ns.specs, ns.max_index, _seed(ns))
     return {"rows": [{"factors": ",".join(str(m) for m in row.factor_orders),
                       "rank": row.rank,
                       "predicted_cost": row.predicted_cost,
@@ -381,10 +390,48 @@ def _table(rows: list[dict]) -> list[str]:
     return lines
 
 
+def _json(value, indent: str, out: list) -> None:
+    """Append json.dumps(value, indent=2, sort_keys=True, default=fmt_rational) to out.
+
+    json.dumps uses its C encoder only when there is no indent, so the indented text
+    is put together here from compact pieces: each block of a list of int pairs fills
+    one %d template, and every leaf or empty container is json.dumps's own compact
+    text.  The caller joins out once, so no long text is copied per nesting level and
+    every piece stays small.  Dict keys are strings; value sits at indent.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        out.append(json.dumps(value, default=fmt_rational))
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [(f"{json.dumps(key)}: ", value[key]) for key in sorted(value)]
+    elif files.int_pairs(value):
+        pair = f"\n{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}],"
+        out.append("[")
+        for i in range(0, len(value), _PAIRS_PER_PIECE):
+            block = value[i:i + _PAIRS_PER_PIECE]
+            out.append(pair * len(block) % tuple(chain.from_iterable(block)))
+        out[-1] = out[-1][:-1]  # no comma after the last pair
+        out.append(f"\n{indent}]")
+        return
+    else:
+        brackets = "[]"
+        items = [("", item) for item in value]
+    out.append(brackets[0])
+    for i, (prefix, item) in enumerate(items):
+        out.append(f"{',' if i else ''}\n{inner}{prefix}")
+        _json(item, inner, out)
+    out.append(f"\n{indent}{brackets[1]}")
+
+
 def render(report: dict, fmt: str) -> str:
     """The one place a ratio becomes text: every Fraction prints as fmt_rational's p/q."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True, default=fmt_rational) + "\n"
+        out = []
+        _json(report, "", out)
+        out.append("\n")
+        return "".join(out)
     lines = []
     for key, value in report.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):

@@ -10,11 +10,11 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .relcore import (MAX_DECIMAL_EXPONENT, Arc, FiniteSpace, FormatError,  # noqa: F401
                       Graphing, ModelError, PartialMap, Relation, ShiftMapping, Subset,
                       parse_rational)
-from .rotation import RotationSystem
 
 
 def fmt_rational(value) -> str:
@@ -118,11 +118,35 @@ def _build_graphing(doc) -> Graphing:
         if ("pairs" in entry) == ("rotation" in entry):
             raise ModelError(f"map {name!r} needs exactly one of pairs or rotation")
         if "pairs" in entry:
-            maps.append(PartialMap.from_pairs(name, space, _read_pairs(entry["pairs"], name)))
+            maps.append(_pairs_map(name, space, entry["pairs"]))
         else:
             s = _as_int(entry["rotation"], f"map {name!r} rotation")
             maps.append(_rotation_map(name, space, s, entry.get("domain", "all")))
     return Graphing(space, maps)
+
+
+def int_lists(raw) -> bool:
+    """raw is a nonempty list of nonempty lists of exact ints (so no bool), checked in bulk."""
+    return (type(raw) is list and set(map(type, raw)) == {list} and all(raw)
+            and set(map(type, chain.from_iterable(raw))) == {int})
+
+
+def int_pairs(raw) -> bool:
+    """raw is a nonempty list of [int, int] lists, checked in bulk."""
+    return int_lists(raw) and set(map(len, raw)) == {2}
+
+
+def _pairs_map(name: str, space: FiniteSpace, raw) -> PartialMap:
+    """A pairs list as a map: built by dict() when the list is clean, else pair by pair.
+
+    A fault of the list itself (a bad pair, a duplicate source) is reported by the
+    per-pair loop alone, so its message names the first faulty pair.
+    """
+    if int_pairs(raw):
+        mapping = dict(raw)
+        if len(mapping) == len(raw):
+            return PartialMap(name, space, mapping)
+    return PartialMap.from_pairs(name, space, _read_pairs(raw, name))
 
 
 def _read_pairs(raw, name: str):
@@ -175,12 +199,13 @@ def _build_relation(doc) -> Relation:
     raw = _expect(doc, "classes", "a list of atom lists")
     if not isinstance(raw, list):
         raise ModelError("classes must be a list of atom lists")
-    groups = []
-    for k, group in enumerate(raw):
-        if not isinstance(group, list) or not group:
-            raise ModelError(f"classes[{k}] must be a nonempty atom list")
-        groups.append([_as_int(x, f"classes[{k}] member") for x in group])
-    return Relation.from_classes(FiniteSpace(n), groups)
+    if not int_lists(raw):  # the per-class loop names the first fault
+        for k, group in enumerate(raw):
+            if not isinstance(group, list) or not group:
+                raise ModelError(f"classes[{k}] must be a nonempty atom list")
+            for x in group:
+                _as_int(x, f"classes[{k}] member")
+    return Relation.from_classes(FiniteSpace(n), raw)
 
 
 def dump_relation(r: Relation) -> dict:
@@ -239,6 +264,7 @@ def load_rotation(path: str) -> RotationDoc:
 
 
 def _build_rotation(doc) -> RotationDoc:
+    from .rotation import RotationSystem
     n = _as_int(_expect(doc, "n", "the atom count"), "n")
     steps_doc = _expect(doc, "steps", "an object of named step sizes")
     if not isinstance(steps_doc, dict) or not steps_doc:

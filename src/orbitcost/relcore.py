@@ -38,6 +38,9 @@ class FormatError(ModelError):
 # about 10**6), while anything past 4300 digits cannot be printed anyway.
 MAX_DECIMAL_EXPONENT = 10_000
 MAX_RELATION_ATOMS = 10_000_000  # n that Relation.from_classes lists atom by atom
+# Largest edge budget brute_force_min_cost accepts: the pair universe of one class of
+# 8 atoms, which scans in about 2 s.  Each further atom costs about 20 times more.
+MAX_EDGE_BUDGET = 28
 
 
 def parse_rational(text) -> Fraction:
@@ -619,8 +622,11 @@ def brute_force_min_cost(r: Relation, edge_budget: int = 20) -> Fraction:
     count of a class depends on its size alone, so each size above 1 is
     searched once.  A class of t atoms in the base on Z/p lifts to one of
     t*n/p atoms, so the sizes come from the base without building n entries.
-    Refuses to run when the whole pair universe exceeds edge_budget.
+    Refuses to run when the whole pair universe exceeds edge_budget, and refuses an
+    edge_budget above MAX_EDGE_BUDGET before counting anything.
     """
+    if edge_budget > MAX_EDGE_BUDGET:
+        raise ModelError(f"the edge budget is at most {MAX_EDGE_BUDGET} pairs, got {edge_budget}")
     lift = r.space.n // len(r.base)
     sizes = Counter(t * lift for t in Counter(r.base).values() if t * lift > 1)
     universe = sum(count * (size * (size - 1) // 2) for size, count in sizes.items())

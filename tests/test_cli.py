@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orbitcost
 from orbitcost import cli, relcore, schreier
 from orbitcost.cli import main
+from orbitcost.files import fmt_rational
 
 
 @pytest.fixture
@@ -808,6 +811,20 @@ ROTATION_AB = {"n": 10, "steps": {"a": 1, "b": 3}}
     pytest.param(["cost"],
                  {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [[0, 1], [0, 2], [1]]}]},
                  "{path}: map 'a': duplicate source atom 0", id="pairs-duplicate-then-malformed"),
+    # a list the bulk check refuses is read again pair by pair, which names the fault
+    pytest.param(["cost"], {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [[True, 1]]}]},
+                 "{path}: map 'a' source must be an integer, got True", id="pairs-bool-atom"),
+    pytest.param(["cost"], {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [[0.5, 1]]}]},
+                 "{path}: map 'a' source must be an integer, got '0.5'", id="pairs-decimal-atom"),
+    pytest.param(["cost"], {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [[0, 1, 2]]}]},
+                 "{path}: map 'a': each pair must be a two-atom list", id="pairs-three-atoms"),
+    pytest.param(["cost"], {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [{"0": 1}]}]},
+                 "{path}: map 'a': each pair must be a two-atom list", id="pairs-object"),
+    pytest.param(["cost"], {"space": {"n": 2000}, "maps": [
+        {"name": "a", "pairs": [[x, x] for x in range(1000)] + [[5, 1500]]}]},
+                 "{path}: map 'a': duplicate source atom 5", id="pairs-late-duplicate"),
+    pytest.param(["min-cost"], {"n": 3, "classes": [[0, "1"]]},
+                 "{path}: classes[0] member must be an integer, got '1'", id="classes-string-member"),
 ])
 def test_golden_loader_errors(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "bad.json"
@@ -863,6 +880,21 @@ def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
     lines = captured.err.splitlines()
     assert (got, captured.out) == (code, "")
     assert (lines if code == 1 else lines[-1:]) == [line]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["brute-min"], {"n": 12, "classes": [list(range(12))]}),
+    (["invariants"], {"space": {"n": 12}, "maps": [{"name": "a", "rotation": 1}]}),
+], ids=["brute-min", "invariants"])
+def test_edge_budget_past_the_ceiling_is_one_error_line(capsys, tmp_path, monkeypatch, argv, doc):
+    # one class of 12 atoms has 66 pairs; scanning them would not end, so the scan raises here
+    def no_scan(size):
+        raise AssertionError("the exhaustive scan ran")
+    monkeypatch.setattr(relcore, "_fewest_connecting_pairs", no_scan)
+    path = tmp_path / "one_class.json"
+    path.write_text(json.dumps(doc))
+    code, lines = run_error(capsys, argv + [str(path), "--edge-budget", "100"])
+    assert (code, lines) == (1, ["error: the edge budget is at most 28 pairs, got 100"])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1021,3 +1053,82 @@ def test_eps_exponent_past_the_bound_is_one_error_line(tmp_path):
     assert run_capped(["eps-curve", str(path)]) == (
         1, "", "error: cannot read '1e-999999999999' as an exact ratio: "
                "its decimal exponent passes 10000 in size\n")
+
+
+# sorted(dir(orbitcost)) of a fresh `import orbitcost`: the public names of relcore,
+# rotation and schreier, those submodules and unionfind, and the module attributes
+PACKAGE_NAMES = [
+    "Arc", "CostCurve", "CurveRow", "EdgeBudgetError", "EdgeSet", "FiniteSpace", "Graphing",
+    "GroupInvariants", "GroupSpec", "ModelError", "NotInSameCycleError", "PartialMap", "Path",
+    "PermAction", "Relation", "RotationSystem", "Segment", "ShiftMapping", "Subset",
+    "UnreachableArcError", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+    "__name__", "__package__", "__path__", "__spec__", "__version__", "brute_force_min_cost",
+    "coincidence_report", "compression_check", "compression_sides", "connection_path", "cost",
+    "cost_epsilon_curve", "derive_seed", "epsilon_graphing", "expected_relation", "factor_cost",
+    "first_hitting_time", "first_return_map", "full_graphing", "generated_relation", "generates",
+    "group_invariants", "is_treeing", "min_cost", "mix64", "nu", "nu_measure", "orbit_exponent",
+    "rank_gradient", "reduce_to_treeing", "relcore", "restrict_map", "restrict_relation",
+    "rotation", "sample_free_action", "schreier", "single_full_generator", "spanning_treeing",
+    "subgroup_rank", "to_edge_set", "transversal", "unionfind",
+]
+
+
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("code", [
+    "import orbitcost; print(sorted(dir(orbitcost)))",
+    "import orbitcost; orbitcost.cost; print(sorted(set(vars(orbitcost))"
+    " - {'_bind', '__getattr__', '__dir__'}))",
+    "from orbitcost import *; print(sorted(name for name in dir() if not name.startswith('__')))",
+], ids=["dir", "vars-after-lookup", "star-import"])
+def test_package_namespace_is_unchanged(code):
+    # each in a fresh process: this one has already bound the namespace and imported cli
+    names = PACKAGE_NAMES if "import *" not in code else [
+        name for name in PACKAGE_NAMES if not name.startswith("__")]
+    assert run_child(code).stdout == f"{names}\n"
+
+
+# python -m orbitcost ARGV, then the orbitcost submodules it loaded on the last stderr line
+RUN_MAIN = """
+import runpy, sys
+sys.argv = ["orbitcost", *sys.argv[1:]]
+try:
+    runpy.run_module("orbitcost", run_name="__main__", alter_sys=True)
+finally:
+    print(sorted(m for m in sys.modules if m.startswith("orbitcost.")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["cost", "{small}"], ["cli", "files", "relcore", "unionfind"]),
+    (["reduce", "{small}", "--format", "json"], ["cli", "files", "relcore", "unionfind"]),
+    (["eps-curve", "{rotation}"], ["cli", "files", "relcore", "rotation", "unionfind"]),
+], ids=["cost", "reduce-json", "eps-curve"])
+def test_a_verb_imports_only_its_own_modules(golden_files, argv, loaded):
+    proc = run_child(RUN_MAIN, *[a.format(**golden_files) for a in argv])
+    assert proc.stderr.splitlines()[-1] == str([f"orbitcost.{m}" for m in loaded])
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.fractions(),
+    st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=5),
+    st.lists(st.lists(st.booleans(), min_size=2, max_size=2), max_size=3))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=5))
+@example({"graphing": {"maps": [{"pairs": [[x, -x] for x in range(2500)]}]},
+          "one_block": [[x, x + 1] for x in range(1024)], "past_a_block": [[0, 1]] * 1025})
+def test_json_render_matches_indented_dumps(report):
+    expected = json.dumps(report, indent=2, sort_keys=True, default=fmt_rational) + "\n"
+    assert cli.render(report, "json") == expected

@@ -18,6 +18,7 @@ from orbitcost import (
     Relation,
     ShiftMapping,
     Subset,
+    files,
     relcore,
 )
 from orbitcost.cli import main
@@ -272,3 +273,47 @@ def test_booleans_are_not_integers(tmp_path):
     path = write(tmp_path, "r.json", {"n": True, "classes": []})
     with pytest.raises(FormatError, match="must be an integer"):
         load_relation(path)
+
+
+ATOMS = st.integers(-1, 7)  # on n = 6, so some atoms fall outside the space
+FAULTS = st.one_of(st.booleans().map(lambda b: [b, 1]), st.just([1, True]), st.just(["0.5", 1]),
+                   st.lists(ATOMS, max_size=3), st.dictionaries(st.just("0"), ATOMS, max_size=1),
+                   ATOMS, st.none())
+
+
+@st.composite
+def item_lists(draw, item):
+    """A list of items, sometimes with one fault at a random place, sometimes not a list."""
+    if draw(st.integers(0, 9)) == 0:
+        return {}
+    items = draw(st.lists(item, max_size=10))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(FAULTS))
+    return items
+
+
+def per_class_relation(space, raw):
+    """Oracle: the classes read and copied one member at a time."""
+    if not isinstance(raw, list):
+        raise ModelError("classes must be a list of atom lists")
+    groups = []
+    for k, group in enumerate(raw):
+        if not isinstance(group, list) or not group:
+            raise ModelError(f"classes[{k}] must be a nonempty atom list")
+        groups.append([files._as_int(x, f"classes[{k}] member") for x in group])
+    return Relation.from_classes(space, groups)
+
+
+@settings(max_examples=300, deadline=None)
+@given(item_lists(st.lists(ATOMS, min_size=2, max_size=2)),
+       item_lists(st.lists(ATOMS, min_size=1, max_size=4)))
+def test_bulk_loaders_match_the_per_item_loop(pairs, classes):
+    # the value when the input is clean, else the exact error text of the per-item loop
+    space = FiniteSpace(6)
+    bulk = outcome(lambda: list(files._build_graphing(
+        {"space": {"n": 6}, "maps": [{"name": "a", "pairs": pairs}]}).maps[0].mapping.items()))
+    loop = outcome(lambda: list(PartialMap.from_pairs(
+        "a", space, files._read_pairs(pairs, "a")).mapping.items()))
+    assert bulk == loop
+    bulk = outcome(lambda: files._build_relation({"n": 6, "classes": classes}).base)
+    assert bulk == outcome(lambda: per_class_relation(space, classes).base)

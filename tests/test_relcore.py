@@ -27,6 +27,7 @@ from orbitcost import (
     nu_measure,
     orbit_exponent,
     reduce_to_treeing,
+    relcore,
     restrict_map,
     restrict_relation,
     single_full_generator,
@@ -375,6 +376,17 @@ def test_brute_force_respects_budget():
     with pytest.raises(EdgeBudgetError):
         brute_force_min_cost(r)
     assert brute_force_min_cost(r.__class__.from_classes(FiniteSpace(10), [[0, 1]])) == Fraction(1, 10)
+
+
+def test_brute_force_refuses_a_budget_past_the_ceiling_before_counting(monkeypatch):
+    # a plain ModelError, so invariants reports it instead of skipping the brute-force check
+    monkeypatch.setattr(relcore, "Counter", None)
+    r = Relation.from_classes(FiniteSpace(4), [[0, 1]])
+    with pytest.raises(ModelError, match=r"^the edge budget is at most 28 pairs, got 29$") as info:
+        brute_force_min_cost(r, relcore.MAX_EDGE_BUDGET + 1)
+    assert type(info.value) is ModelError
+    monkeypatch.undo()
+    assert brute_force_min_cost(r, relcore.MAX_EDGE_BUDGET) == Fraction(1, 4)
 
 
 def test_brute_force_refuses_a_large_universe_from_the_base(monkeypatch):
