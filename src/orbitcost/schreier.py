@@ -13,7 +13,7 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import relcore
@@ -142,7 +142,6 @@ class PermAction:
     spec: GroupSpec
     index: int
     perms: list[list[int]]
-    cycle_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.index < 1:
@@ -150,14 +149,11 @@ class PermAction:
         if len(self.perms) != len(self.spec.factor_orders):
             raise ModelError(
                 f"{len(self.spec.factor_orders)} factors but {len(self.perms)} permutations")
-        counts = []
         for order, perm in zip(self.spec.factor_orders, self.perms):
             lengths = _cycle_lengths(perm, self.index)
             if order and any(length != order for length in lengths):
                 raise ModelError(
                     f"an order-{order} factor must act with every cycle of length {order}")
-            counts.append(len(lengths))
-        self.cycle_counts = tuple(counts)
         if not _transitive(self.perms, self.index):
             raise ModelError("the factors do not act transitively on the cosets")
 
@@ -211,17 +207,40 @@ def _sample_factor_perm(order: int, index: int, rng: random.Random) -> list[int]
     return perm
 
 
-def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
-    """Draw per-factor permutations until the action is transitive.
+def _pairing(pts: list[int]) -> list[int]:
+    """The involution that swaps pts[0] with pts[1], pts[2] with pts[3], and so on."""
+    perm = [0] * len(pts)
+    for x, y in zip(pts[::2], pts[1::2]):
+        perm[x] = y
+        perm[y] = x
+    return perm
 
-    Each (factor, attempt) pair gets its own stream derived from the master
-    seed, so the result depends only on (spec, index, seed).  A lone factor
-    is transitive only as one index-cycle, so it draws one and never rejects
-    (a lone order-m factor is refused before any draw unless index is m).
-    Several factors give up after MAX_ATTEMPTS rejections, or sooner when
-    the attempts would draw more than MAX_SAMPLER_DRAWS cosets in all.  At
-    most MAX_SAMPLER_COSETS cosets (index times factors) are drawn per
-    attempt.
+
+def _cycle_involutions(pts: list[int]) -> list[list[int]]:
+    """[a, b] with a = (p0 p1)(p2 p3)... and b = (p1 p2)...(p_{i-1} p0) for an even-length pts.
+
+    Two fixed-point-free involutions act transitively exactly when their
+    matchings together form one cycle, and each such pair arises from exactly
+    i sequences (pick p0; the cycle then fixes the rest), so a uniform
+    sequence gives a uniform transitive pair.
+    """
+    return [_pairing(pts), _pairing(pts[1:] + pts[:1])]
+
+
+def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
+    """A uniform transitive action, free at torsion, as a pure function of (spec, index, seed).
+
+    The infinite dihedral spec (2, 2) is drawn without rejection: one
+    shuffle of the cosets, from the stream of (factor 0, attempt 0), read as
+    a cycle whose alternate edges are the two involutions.  Every other spec
+    draws per-factor permutations until the action is transitive, each
+    (factor, attempt) pair from its own stream derived from the master seed.
+    A lone factor is transitive only as one index-cycle, so it draws one and
+    never rejects (a lone order-m factor is refused before any draw unless
+    index is m).  Several factors give up after MAX_ATTEMPTS rejections, or
+    sooner when the attempts would draw more than MAX_SAMPLER_DRAWS cosets
+    in all.  At most MAX_SAMPLER_COSETS cosets (index times factors) are
+    drawn per attempt.
     """
     if index < 1:
         raise ModelError(f"index must be positive, got {index}")
@@ -237,6 +256,10 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
         raise ModelError(
             f"no transitive action exists for orders {list(orders)} at index {index}: "
             f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
+    if orders == (2, 2):
+        pts = list(range(index))
+        _shuffle(random.Random(derive_seed(seed, 0, 0)), pts)
+        return PermAction(spec, index, _cycle_involutions(pts))
     lone = len(orders) == 1
     attempts = min(MAX_ATTEMPTS, MAX_SAMPLER_DRAWS // (index * len(orders)))
     for attempt in range(attempts):
@@ -253,26 +276,17 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
 
 
 def subgroup_rank(act: PermAction) -> int:
-    """Rank of the index-i subgroup behind the action, computed twice.
+    """Rank of the index-i subgroup behind the action: 1 - chi.
 
-    Once through the Euler characteristic (i vertices, one full sheet of
-    edges per factor, i/m sheets regained per torsion factor) and once as
-    the cycle rank of the contracted coset multigraph, where each torsion
-    cycle leaves a path of length one less and each infinite factor
-    contributes i edges.  The two counts must agree.  PermAction has already
-    checked that the action is transitive and counted each factor's cycles.
+    chi = i - k*i + (i/m summed over the torsion factors) is i times the
+    Euler characteristic of the free product of k cyclic groups.  The
+    subgroup is free of that rank because PermAction has checked that the
+    action is transitive and that every order-m cycle has length m.
     """
     i = act.index
     orders = act.spec.factor_orders
     chi = i - len(orders) * i + sum(i // m for m in orders if m)
-    by_euler = 1 - chi
-    edges = 0
-    for order, cycles in zip(orders, act.cycle_counts):
-        edges += i - cycles if order else i
-    by_graph = edges - i + 1
-    if by_euler != by_graph:
-        raise AssertionError(f"rank computations disagree: {by_euler} vs {by_graph}")
-    return by_euler
+    return 1 - chi
 
 
 @dataclass(frozen=True)

@@ -977,6 +977,12 @@ def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, doc, expected)
     assert run_capped(argv + [str(path)]) == (0, expected, "")
 
 
+def test_infinite_dihedral_at_a_million_cosets_in_bounded_memory():
+    # (2,2) is drawn as one shuffled cycle, so no attempt cap stops it at any even index
+    assert run_capped(["schreier-rank", "--factors", "2,2", "--index", "1000000"]) == (
+        0, "command: schreier-rank\nfactors: 2,2\nindex: 1000000\nrank: 1\n", "")
+
+
 def test_index_range_past_the_row_cap_is_one_error_line():
     # the range is never listed: its length is read from a slice of at most cap + 1 entries;
     # each runs in a child with a memory and a time limit, so a lost cap fails, not hangs

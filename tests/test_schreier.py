@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,58 @@ def factor_perm_oracle(order, index, rng):
         for pos, x in enumerate(block):
             perm[x] = block[(pos + 1) % order]
     return perm
+
+
+def rejection_sampler_oracle(spec, index, seed):
+    """The sampler's rejection loop on the reference draw and transitivity test; None on giving up.
+
+    For (2, 2) it is uniform over the same transitive pairs as the one-cycle draw.
+    """
+    orders = spec.factor_orders
+    lone = len(orders) == 1
+    attempts = min(schreier.MAX_ATTEMPTS, schreier.MAX_SAMPLER_DRAWS // (index * len(orders)))
+    for attempt in range(attempts):
+        perms = [factor_perm_oracle(index if lone else order, index,
+                                    random.Random(derive_seed(seed, j, attempt)))
+                 for j, order in enumerate(orders)]
+        if transitive_oracle(perms, index):
+            return perms
+    return None
+
+
+def involution_pair_oracle(pts):
+    """Reference (2, 2) draw: pts read as a cycle, a on its even edges and b on its odd ones."""
+    index = len(pts)
+    a, b = [0] * index, [0] * index
+    for k in range(index):
+        x, y = pts[k], pts[(k + 1) % index]
+        perm = b if k % 2 else a
+        perm[x], perm[y] = y, x
+    return [a, b]
+
+
+def involutions_oracle(index):
+    """Every fixed-point-free involution of 0..index-1, by pairing the least unpaired point."""
+    def matchings(free):
+        if not free:
+            yield []
+            return
+        for k in range(1, len(free)):
+            for rest in matchings(free[1:k] + free[k + 1:]):
+                yield [(free[0], free[k]), *rest]
+
+    out = []
+    for matching in matchings(list(range(index))):
+        perm = [0] * index
+        for x, y in matching:
+            perm[x], perm[y] = y, x
+        out.append(tuple(perm))
+    return out
+
+
+def transitive_involution_pairs(index):
+    invs = involutions_oracle(index)
+    return {(a, b) for a in invs for b in invs if transitive_oracle([a, b], index)}
 
 
 # ---------------------------------------------------------------- specs
@@ -179,7 +232,8 @@ def test_cycle_walk_matches_the_sort_and_walk_oracle(case):
     if expected is None:
         assert schreier._cycle_lengths(perm, index) == cycle_lengths(perm)
         act = PermAction(spec, index, [perm, cycle])
-        assert act.cycle_counts == (len(cycle_lengths(perm)), 1)
+        assert [len(schreier._cycle_lengths(p, index)) for p in act.perms] == [
+            len(cycle_lengths(perm)), 1]
     else:
         with pytest.raises(ModelError) as caught:
             PermAction(spec, index, [perm, cycle])
@@ -338,22 +392,44 @@ def test_factor_perm_matches_block_oracle(order, blocks, lone, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from([0, 2, 3, 4]), min_size=2, max_size=3),
+@given(st.just([2, 2]) | st.lists(st.sampled_from([0, 2, 3, 4]), min_size=2, max_size=3),
        st.integers(1, 6), st.integers(0, 2**64 - 1))
+@example([2, 2], 1, 0)  # one edge, both involutions swap its ends
 def test_sampler_matches_a_sampler_built_on_the_oracles(orders, scale, seed):
     spec = GroupSpec(tuple(orders))
     index = math.lcm(*(m for m in orders if m)) * scale
     act = sample_free_action(spec, index, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schreier, "_transitive", transitive_oracle)
-        mp.setattr(schreier, "_sample_factor_perm", factor_perm_oracle)
-        assert sample_free_action(spec, index, seed).perms == act.perms
+    if orders == [2, 2]:  # one shuffle, from the first factor's first stream, read as a cycle
+        pts = factor_perm_oracle(0, index, random.Random(derive_seed(seed, 0, 0)))
+        assert act.perms == involution_pair_oracle(pts)
+    else:
+        assert act.perms == rejection_sampler_oracle(spec, index, seed)
     assert PermAction(spec, index, act.perms).perms == act.perms
 
 
+@pytest.mark.parametrize("index, pairs", [(2, 1), (4, 6), (6, 120), (8, 5040)])
+def test_cycle_involutions_hit_each_transitive_pair_index_times(index, pairs):
+    # (index - 1)! transitive pairs, each from index sequences: any point is p0, the rest is forced
+    hits = Counter(tuple(map(tuple, schreier._cycle_involutions(list(pts))))
+                   for pts in itertools.permutations(range(index)))
+    transitive = transitive_involution_pairs(index)
+    assert len(transitive) == pairs
+    assert set(hits) == transitive
+    assert set(hits.values()) == {index}
+
+
+@pytest.mark.parametrize("index", [4, 6])
+def test_dihedral_draw_reaches_what_the_rejection_loop_reaches(index):
+    spec = GroupSpec((2, 2))
+    seeds = range(1500)
+    new = {tuple(map(tuple, sample_free_action(spec, index, s).perms)) for s in seeds}
+    old = {tuple(map(tuple, rejection_sampler_oracle(spec, index, s))) for s in seeds}
+    assert new == old == transitive_involution_pairs(index)
+
+
 @pytest.mark.parametrize("orders, index, seed, perms", [
-    ((2, 2), 12, 0, [[8, 3, 10, 1, 11, 9, 7, 6, 0, 5, 2, 4],
-                     [5, 2, 1, 8, 7, 0, 9, 4, 3, 6, 11, 10]]),  # third attempt
+    ((2, 2), 12, 0, [[6, 10, 11, 5, 7, 3, 0, 4, 9, 8, 1, 2],
+                     [4, 5, 9, 8, 0, 1, 11, 10, 3, 2, 7, 6]]),  # one shuffle, no rejection
     ((2, 3), 12, 9, [[3, 5, 11, 0, 7, 1, 10, 4, 9, 8, 6, 2],
                      [4, 11, 6, 10, 8, 2, 5, 3, 0, 1, 7, 9]]),  # second attempt
     ((0, 0, 2), 8, 30, [[0, 4, 7, 5, 1, 6, 2, 3], [1, 4, 6, 5, 0, 2, 7, 3],
