@@ -43,6 +43,18 @@ MAX_RELATION_ATOMS = 10_000_000  # n that Relation.from_classes lists atom by at
 MAX_EDGE_BUDGET = 28
 
 
+def _built(cls, *values):
+    """cls(*values) for a dataclass, without its __post_init__ checks.
+
+    Only code that has just built values correct by construction may call this,
+    and only on Relation, PartialMap or PermAction, whose __post_init__ checks
+    and never normalises.  Values from outside the program take the constructor.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def parse_rational(text) -> Fraction:
     """An exact ratio from text such as "7/2", "0.125" or "1e-3", its exponent bounded."""
     raw = str(text).strip()
@@ -66,10 +78,6 @@ class FiniteSpace:
     def __post_init__(self):
         if self.n < 1:
             raise ModelError(f"a space needs at least one atom, got n={self.n}")
-
-    @property
-    def atom_weight(self) -> Fraction:
-        return Fraction(1, self.n)
 
     def measure(self, count: int) -> Fraction:
         """Weight of any count-atom subset."""
@@ -199,8 +207,8 @@ class PartialMap:
         return len(self.mapping) == self.space.n
 
     def inverse(self) -> "PartialMap":
-        return PartialMap(f"{self.name}_inv", self.space,
-                          {y: x for x, y in self.mapping.items()})
+        return _built(PartialMap, f"{self.name}_inv", self.space,
+                      {y: x for x, y in self.mapping.items()})
 
 
 @dataclass
@@ -263,9 +271,8 @@ class Relation:
         p = len(base)
         if p == 0 or space.n % p:
             raise ModelError(f"period {p} does not divide n={space.n}")
-        r = cls(FiniteSpace(p), base)
-        r.space = space
-        return r
+        cls(FiniteSpace(p), base)  # the check on Z/p, discarded once it passes
+        return _built(cls, space, base)
 
     @property
     def parent(self) -> list[int]:
@@ -299,7 +306,7 @@ class Relation:
                     raise ModelError(f"atom {x} listed in two classes")
                 seen[x] = True
                 parent[x] = members[0]
-        return cls(space, parent)
+        return _built(cls, space, parent)
 
     def class_count(self) -> int:
         return sum(1 for x, r in enumerate(self.base) if x == r)
@@ -330,9 +337,6 @@ class Subset:
     @property
     def measure(self) -> Fraction:
         return self.space.measure(len(self.members))
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -435,7 +439,7 @@ def _quotient(g: Graphing) -> UnionFind:
 
 def generated_relation(g: Graphing) -> Relation:
     """Smallest equivalence relation joining every source to its target."""
-    return Relation.periodic(g.space, _quotient(g).canonical())
+    return _built(Relation, g.space, _quotient(g).canonical())
 
 
 def generates(g: Graphing, r: Relation) -> bool:
@@ -477,7 +481,7 @@ def spanning_treeing(r: Relation) -> Graphing:
         if rep in last:
             mapping[x] = last[rep]
         last[rep] = x
-    return Graphing(r.space, [PartialMap("forest", r.space, mapping)])
+    return Graphing(r.space, [_built(PartialMap, "forest", r.space, mapping)])
 
 
 def reduce_to_treeing(g: Graphing) -> Graphing:
@@ -495,17 +499,21 @@ def reduce_to_treeing(g: Graphing) -> Graphing:
             y = m.mapping[x]
             if x != y and uf.union(x, y):
                 kept[x] = y
-        kept_maps.append(PartialMap(m.name, g.space, kept))
+        kept_maps.append(_built(PartialMap, m.name, g.space, kept))
     return Graphing(g.space, kept_maps)
 
 
 def single_full_generator(r: Relation) -> PartialMap:
     """A permutation cycling every class in ascending order, cost exactly 1."""
+    last: dict[int, int] = {}
     mapping: dict[int, int] = {}
-    for group in r.classes():
-        for pos, x in enumerate(group):
-            mapping[x] = group[(pos + 1) % len(group)]
-    return PartialMap("cycles", r.space, mapping)
+    for x, rep in enumerate(r.parent):
+        if rep in last:
+            mapping[last[rep]] = x
+        last[rep] = x
+    for rep, x in last.items():  # each class's last atom closes its cycle
+        mapping[x] = rep
+    return _built(PartialMap, "cycles", r.space, mapping)
 
 
 def _require_permutation(psi: PartialMap):
@@ -566,7 +574,7 @@ def first_return_map(psi: PartialMap, a: Subset) -> PartialMap:
         while z not in members:
             z = step[z]
         mapping[x] = z
-    return PartialMap(f"{psi.name}_return", psi.space, mapping)
+    return _built(PartialMap, f"{psi.name}_return", psi.space, mapping)
 
 
 def restrict_map(g: Graphing, map_name: str, a: Subset) -> Graphing:
@@ -574,7 +582,8 @@ def restrict_map(g: Graphing, map_name: str, a: Subset) -> Graphing:
     if g.space != a.space:
         raise ModelError("graphing and subset live on different spaces")
     m = g.map_named(map_name)
-    kept = PartialMap(m.name, g.space, {x: y for x, y in m.mapping.items() if x in a.members})
+    kept = _built(PartialMap, m.name, g.space,
+                  {x: y for x, y in m.mapping.items() if x in a.members})
     return Graphing(g.space, [kept if other is m else other for other in g.maps])
 
 
@@ -593,7 +602,7 @@ def restrict_relation(r: Relation, a: Subset) -> Relation:
         if rep not in first:
             first[rep] = i
         parent.append(first[rep])
-    return Relation(FiniteSpace(len(members)), parent)
+    return _built(Relation, FiniteSpace(len(members)), parent)
 
 
 def compression_sides(r: Relation, a: Subset) -> tuple[Fraction, Fraction]:

@@ -18,6 +18,7 @@ from .relcore import (
     PartialMap,
     Relation,
     ShiftMapping,
+    _built,
     cost,
     generates,
     parse_rational,
@@ -51,7 +52,7 @@ class RotationSystem:
 def expected_relation(sys: RotationSystem) -> Relation:
     """Cosets of g = gcd(n, all steps): the orbit partition of the full action."""
     g = math.gcd(sys.n, *sys.steps.values())
-    return Relation.periodic(sys.space, list(range(g)))
+    return _built(Relation, sys.space, list(range(g)))
 
 
 def full_graphing(sys: RotationSystem) -> Graphing:
@@ -151,16 +152,6 @@ class Path:
     @property
     def length(self) -> int:
         return sum(seg.count for seg in self.segments)
-
-    def elementary(self, sys: RotationSystem):
-        """Yield (step, power, source, target), one jump at a time."""
-        z = self.start
-        for seg in self.segments:
-            delta = sys.steps[seg.step] * seg.power
-            for _ in range(seg.count):
-                w = (z + delta) % self.n
-                yield seg.step, seg.power, z, w
-                z = w
 
 
 def connection_path(sys: RotationSystem, full_step: str, restricted_step: str,

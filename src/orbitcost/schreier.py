@@ -240,7 +240,7 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     index is m).  Several factors give up after MAX_ATTEMPTS rejections, or
     sooner when the attempts would draw more than MAX_SAMPLER_DRAWS cosets
     in all.  At most MAX_SAMPLER_COSETS cosets (index times factors) are
-    drawn per attempt.
+    drawn per attempt.  An action returned is built valid and not re-checked.
     """
     if index < 1:
         raise ModelError(f"index must be positive, got {index}")
@@ -259,7 +259,7 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     if orders == (2, 2):
         pts = list(range(index))
         _shuffle(random.Random(derive_seed(seed, 0, 0)), pts)
-        return PermAction(spec, index, _cycle_involutions(pts))
+        return relcore._built(PermAction, spec, index, _cycle_involutions(pts))
     lone = len(orders) == 1
     attempts = min(MAX_ATTEMPTS, MAX_SAMPLER_DRAWS // (index * len(orders)))
     for attempt in range(attempts):
@@ -269,7 +269,7 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
             for j, order in enumerate(orders)
         ]
         if _transitive(perms, index):
-            return PermAction(spec, index, perms)
+            return relcore._built(PermAction, spec, index, perms)
     raise ModelError(
         f"no transitive action found in {attempts} attempts for orders "
         f"{list(spec.factor_orders)} at index {index}")
@@ -280,8 +280,8 @@ def subgroup_rank(act: PermAction) -> int:
 
     chi = i - k*i + (i/m summed over the torsion factors) is i times the
     Euler characteristic of the free product of k cyclic groups.  The
-    subgroup is free of that rank because PermAction has checked that the
-    action is transitive and that every order-m cycle has length m.
+    subgroup is free of that rank because every PermAction, checked or
+    sampled, is transitive with every order-m cycle of length m.
     """
     i = act.index
     orders = act.spec.factor_orders

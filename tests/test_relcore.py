@@ -57,7 +57,7 @@ def test_space_rejects_empty():
 
 
 def test_atom_weight_is_exact():
-    assert FiniteSpace(7).atom_weight == Fraction(1, 7)
+    assert FiniteSpace(7).measure(1) == Fraction(1, 7)
 
 
 def test_partial_map_rejects_shared_target():
@@ -322,7 +322,7 @@ def test_restrict_relation_reindexes_ascending():
     small = restrict_relation(r, a)
     assert small.space.n == 3
     assert small.classes() == [[0, 2], [1]]
-    assert small.space.atom_weight == Fraction(1, 3)
+    assert small.space.measure(1) == Fraction(1, 3)
 
 
 def test_restrict_relation_to_everything_is_identity():
@@ -358,7 +358,7 @@ def test_compression_rejects_missed_class():
 def test_transversal_reps_and_identity():
     r = Relation.from_classes(FiniteSpace(6), [[0, 1, 2], [3, 4, 5]])
     t = transversal(r)
-    assert t.sorted_members() == [0, 3]
+    assert sorted(t.members) == [0, 3]
     assert min_cost(r) == 1 - t.measure
 
 
@@ -516,6 +516,15 @@ def test_single_full_generator_properties(r):
     g = Graphing(r.space, [psi])
     assert cost(g) == 1
     assert generates(g, r)
+
+
+@given(st.one_of(relations(max_n=30), periodic_relations()))
+def test_single_full_generator_matches_the_class_list_oracle(r):
+    mapping = {}
+    for group in r.classes():
+        for pos, x in enumerate(group):
+            mapping[x] = group[(pos + 1) % len(group)]
+    assert single_full_generator(r).mapping == mapping
 
 
 @given(relations(max_n=16), st.data())

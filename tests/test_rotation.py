@@ -50,6 +50,17 @@ def dict_full_graphing(sys):
                             for name, s in sys.steps.items()])
 
 
+def elementary(path, sys):
+    """Oracle: walk a path one jump at a time, yielding (step, power, source, target)."""
+    z = path.start
+    for seg in path.segments:
+        delta = sys.steps[seg.step] * seg.power
+        for _ in range(seg.count):
+            w = (z + delta) % path.n
+            yield seg.step, seg.power, z, w
+            z = w
+
+
 def dict_epsilon_graphing(sys, full_step, arc):
     """Oracle: the full step as an n-entry dict, the others as dicts on the arc atoms."""
     space, n = sys.space, sys.n
@@ -405,7 +416,7 @@ def test_connection_path_example():
     path = connection_path(sys, "a", "b", Arc(0, 1), 1)
     assert path.length == 7
     assert path.end == 6
-    jumps = list(path.elementary(sys))
+    jumps = list(elementary(path, sys))
     assert [j[:2] for j in jumps] == [("a", 1)] * 3 + [("b", 1)] + [("a", -1)] * 3
     assert jumps[0][2] == 1 and jumps[-1][3] == 6
 
@@ -426,7 +437,7 @@ def test_connection_path_endpoints_by_simulation():
         x = rng.randrange(101)
         path = connection_path(sys, "a", "b", arc, x)
         z = x
-        for _, _, src, tgt in path.elementary(sys):
+        for _, _, src, tgt in elementary(path, sys):
             assert src == z
             z = tgt
         assert z == path.end == (x + 39) % 101
