@@ -236,6 +236,9 @@ def cmd_first_return(ns) -> dict:
 
 def cmd_compress(ns) -> dict:
     r = files.load_relation(ns.relation)
+    if ns.members is None and ns.arc is not None:  # refused before the arc's atoms are listed
+        ns.arc.check(r.space.n)
+        relcore.check_restriction_size(ns.arc.length)
     a = files.make_subset(r.space, ns.members, ns.arc)
     lhs, rhs = relcore.compression_sides(r, a)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .relcore import (MAX_DECIMAL_EXPONENT, Arc, FiniteSpace, FormatError,  # noqa: F401
                       Graphing, ModelError, PartialMap, Relation, ShiftMapping, Subset,
-                      parse_rational)
+                      _Record, parse_rational)
 
 
 def fmt_rational(value) -> str:
@@ -221,13 +220,10 @@ def make_subset(space: FiniteSpace, members: list[int] | None, arc: Arc | None) 
     return arc.subset(space)
 
 
-@dataclass
-class SchreierDoc:
+class SchreierDoc(_Record):
     """A parsed group-spec file: factor orders, indices and an optional seed."""
 
-    factors: tuple[int, ...]
-    indices: list[int]
-    seed: int | None
+    _fields = ("factors", "indices", "seed")
 
 
 def load_schreier(path: str) -> SchreierDoc:
@@ -248,14 +244,10 @@ def _build_schreier(doc) -> SchreierDoc:
     return SchreierDoc(factors, indices, seed)
 
 
-@dataclass
-class RotationDoc:
+class RotationDoc(_Record):
     """A parsed rotation file: the system plus its optional trimmings."""
 
-    system: RotationSystem
-    full: str | None
-    eps: list[Fraction]
-    arc: Arc | None
+    _fields = ("system", "full", "eps", "arc")
 
 
 def load_rotation(path: str) -> RotationDoc:

@@ -10,7 +10,6 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -38,20 +37,82 @@ class FormatError(ModelError):
 # about 10**6), while anything past 4300 digits cannot be printed anyway.
 MAX_DECIMAL_EXPONENT = 10_000
 MAX_RELATION_ATOMS = 10_000_000  # n that Relation.from_classes lists atom by atom
+# Atoms of the map or relation that single_full_generator and restrict_relation build one
+# by one from a relation.  Under a 1.5 GB address-space limit a single-gen process peaks at
+# about 1.1 GB on 4*10**6 atoms (compress at 0.95 GB) and runs out of memory at 6*10**6.
+MAX_DERIVED_ATOMS = 4_000_000
 # Largest edge budget brute_force_min_cost accepts: the pair universe of one class of
 # 8 atoms, which scans in about 2 s.  Each further atom costs about 20 times more.
 MAX_EDGE_BUDGET = 28
 
 
+_set = object.__setattr__  # how a record's __init__ stores a field past _Frozen
+
+
+class _Record:
+    """Base of the value classes: equality field by field, and a repr that lists the fields.
+
+    A subclass names its fields in constructor order in _fields.  It stores
+    them through this __init__, or through its own when it checks them or is
+    built often enough for the generic loop to cost.  Records are equal only
+    when they are of one class and their fields are equal.  A record is
+    unhashable unless it is _Frozen.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        if (len(args) > len(fields) or values.keys() & kwargs.keys()
+                or values.keys() | kwargs.keys() != set(fields)):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
+        values.update(kwargs)
+        for name in fields:
+            _set(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Frozen(_Record):
+    """A record with read-only fields, hashed by their values; copies rerun __init__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _built(cls, *values):
-    """cls(*values) for a dataclass, without its __post_init__ checks.
+    """cls(*values) for a record, without the checks of its __init__.
 
     Only code that has just built values correct by construction may call this,
-    and only on Relation, PartialMap or PermAction, whose __post_init__ checks
-    and never normalises.  Values from outside the program take the constructor.
+    and only on Relation, PartialMap or PermAction, whose __init__ checks and
+    never normalises.  Values from outside the program take the constructor.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    obj.__dict__.update(zip(cls._fields, values))
     return obj
 
 
@@ -69,27 +130,36 @@ def parse_rational(text) -> Fraction:
         raise FormatError(f"cannot read {text!r} as an exact ratio") from None
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(_Frozen):
     """n atoms of equal weight; the finite model of a probability space."""
 
-    n: int
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ModelError(f"a space needs at least one atom, got n={self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise ModelError(f"a space needs at least one atom, got n={n}")
+        _set(self, "n", n)
+
+    def __eq__(self, other):  # every Graphing compares each map's space: 10x the generic ==
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    __hash__ = _Frozen.__hash__
 
     def measure(self, count: int) -> Fraction:
         """Weight of any count-atom subset."""
         return Fraction(count, self.n)
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(_Frozen):
     """length consecutive atoms from start, wrapping modulo n."""
 
-    start: int
-    length: int
+    __slots__ = _fields = ("start", "length")
+
+    def __init__(self, start: int, length: int):
+        _set(self, "start", start)
+        _set(self, "length", length)
 
     def check(self, n: int):
         if not 0 <= self.start < n:
@@ -146,8 +216,7 @@ class ShiftMapping(Mapping):
         return chain(*self.arc.runs(self.n))
 
 
-@dataclass
-class PartialMap:
+class PartialMap(_Record):
     """A named injective map from a subset of the atoms into the atoms.
 
     mapping holds source -> target entries, either as a dict or as a
@@ -155,32 +224,31 @@ class PartialMap:
     without relating distinct atoms.
     """
 
-    name: str
-    space: FiniteSpace
-    mapping: Mapping[int, int]
+    _fields = ("name", "space", "mapping")
 
-    def __post_init__(self):
-        n = self.space.n
-        m = self.mapping
+    def __init__(self, name: str, space: FiniteSpace, mapping: Mapping[int, int]):
+        self.name = name
+        self.space = space
+        self.mapping = m = mapping
+        n = space.n
         if isinstance(m, ShiftMapping):
             if m.n != n:
-                raise ModelError(f"map {self.name!r}: shift view on n={m.n}, the map on n={n}")
+                raise ModelError(f"map {name!r}: shift view on n={m.n}, the map on n={n}")
             return
         if not m:
             return
         if min(m) < 0 or max(m) >= n:
             x = next(x for x in m if not 0 <= x < n)
-            raise ModelError(f"map {self.name!r}: source atom {x} outside 0..{n - 1}")
+            raise ModelError(f"map {name!r}: source atom {x} outside 0..{n - 1}")
         targets = m.values()
         if min(targets) < 0 or max(targets) >= n:
             y = next(y for y in targets if not 0 <= y < n)
-            raise ModelError(f"map {self.name!r}: target atom {y} outside 0..{n - 1}")
+            raise ModelError(f"map {name!r}: target atom {y} outside 0..{n - 1}")
         if len(set(targets)) != len(m):
             seen: dict[int, int] = {}
             for x, y in m.items():
                 if y in seen:
-                    raise ModelError(
-                        f"map {self.name!r}: atoms {seen[y]} and {x} share the target {y}")
+                    raise ModelError(f"map {name!r}: atoms {seen[y]} and {x} share the target {y}")
                 seen[y] = x
 
     @classmethod
@@ -211,19 +279,19 @@ class PartialMap:
                       {y: x for x, y in self.mapping.items()})
 
 
-@dataclass
-class Graphing:
+class Graphing(_Record):
     """An ordered family of distinctly named partial maps over one space."""
 
-    space: FiniteSpace
-    maps: list[PartialMap]
+    _fields = ("space", "maps")
 
-    def __post_init__(self):
+    def __init__(self, space: FiniteSpace, maps: list[PartialMap]):
+        self.space = space
+        self.maps = maps
         names = set()
-        for m in self.maps:
-            if m.space != self.space:
+        for m in maps:
+            if m.space != space:
                 raise ModelError(
-                    f"map {m.name!r} lives on n={m.space.n}, the graphing on n={self.space.n}")
+                    f"map {m.name!r} lives on n={m.space.n}, the graphing on n={space.n}")
             if m.name in names:
                 raise ModelError(f"duplicate map name {m.name!r}")
             names.add(m.name)
@@ -235,8 +303,7 @@ class Graphing:
         raise ModelError(f"no map named {name!r}")
 
 
-@dataclass(eq=False)
-class Relation:
+class Relation(_Record):
     """An equivalence relation stored as a canonical representative array of period p.
 
     p = len(base) divides n, base[x] is the least atom equivalent to x for
@@ -246,12 +313,12 @@ class Relation:
     Relation(space, parent) is the case p = n.
     """
 
-    space: FiniteSpace
-    base: list[int]
+    _fields = ("space", "base")
 
-    def __post_init__(self):
-        n = self.space.n
-        b = self.base
+    def __init__(self, space: FiniteSpace, base: list[int]):
+        self.space = space
+        self.base = b = base
+        n = space.n
         if len(b) != n:
             raise ModelError(f"representative array has length {len(b)}, space has {n} atoms")
         for x in range(n):
@@ -319,20 +386,19 @@ class Relation:
         return [groups[r] for r in sorted(groups)]
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Frozen):
     """A set of atoms with its weight."""
 
-    space: FiniteSpace
-    members: frozenset[int]
+    __slots__ = _fields = ("space", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
+    def __init__(self, space: FiniteSpace, members: frozenset[int]):
+        _set(self, "space", space)
+        _set(self, "members", frozenset(members))
         if self.members:
             low, high = min(self.members), max(self.members)
-            if low < 0 or high >= self.space.n:
+            if low < 0 or high >= space.n:
                 raise ModelError(f"subset member {low if low < 0 else high} "
-                                 f"outside 0..{self.space.n - 1}")
+                                 f"outside 0..{space.n - 1}")
 
     @property
     def measure(self) -> Fraction:
@@ -342,18 +408,17 @@ class Subset:
         return x in self.members
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(_Frozen):
     """Ordered atom pairs with set semantics; repeats collapse, loops stay."""
 
-    space: FiniteSpace
-    edges: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("space", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+    def __init__(self, space: FiniteSpace, edges: frozenset[tuple[int, int]]):
+        _set(self, "space", space)
+        _set(self, "edges", frozenset(tuple(e) for e in edges))
         for x, y in self.edges:
-            if not (0 <= x < self.space.n and 0 <= y < self.space.n):
-                raise ModelError(f"edge ({x}, {y}) leaves 0..{self.space.n - 1}")
+            if not (0 <= x < space.n and 0 <= y < space.n):
+                raise ModelError(f"edge ({x}, {y}) leaves 0..{space.n - 1}")
 
 
 def cost(g: Graphing) -> Fraction:
@@ -505,6 +570,9 @@ def reduce_to_treeing(g: Graphing) -> Graphing:
 
 def single_full_generator(r: Relation) -> PartialMap:
     """A permutation cycling every class in ascending order, cost exactly 1."""
+    if r.space.n > MAX_DERIVED_ATOMS:
+        raise ModelError(f"a single full generator is built on at most {MAX_DERIVED_ATOMS} "
+                         f"atoms, got n={r.space.n}")
     last: dict[int, int] = {}
     mapping: dict[int, int] = {}
     for x, rep in enumerate(r.parent):
@@ -587,12 +655,20 @@ def restrict_map(g: Graphing, map_name: str, a: Subset) -> Graphing:
     return Graphing(g.space, [kept if other is m else other for other in g.maps])
 
 
+def check_restriction_size(count: int):
+    """Refuse a restriction to more than MAX_DERIVED_ATOMS atoms; callable before they are listed."""
+    if count > MAX_DERIVED_ATOMS:
+        raise ModelError(f"a restricted relation has at most {MAX_DERIVED_ATOMS} atoms, "
+                         f"got {count}")
+
+
 def restrict_relation(r: Relation, a: Subset) -> Relation:
     """The trace of r on a, re-indexed onto 0..|a|-1 in ascending atom order."""
     if r.space != a.space:
         raise ModelError("relation and subset live on different spaces")
     if not a.members:
         raise ModelError("cannot restrict to the empty subset")
+    check_restriction_size(len(a.members))
     members = sorted(a.members)
     base, p = r.base, len(r.base)
     first: dict[int, int] = {}

@@ -7,7 +7,6 @@ already visits every atom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .relcore import (
@@ -19,6 +18,9 @@ from .relcore import (
     Relation,
     ShiftMapping,
     _built,
+    _Frozen,
+    _Record,
+    _set,
     cost,
     generates,
     parse_rational,
@@ -29,20 +31,19 @@ class UnreachableArcError(ModelError):
     """No forward iterate of the step lands in the arc."""
 
 
-@dataclass
-class RotationSystem:
+class RotationSystem(_Record):
     """n atoms with an ordered family of named steps, stored reduced mod n."""
 
-    n: int
-    steps: dict[str, int]
+    _fields = ("n", "steps")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ModelError(f"a rotation system needs n >= 1, got {self.n}")
-        for name in self.steps:
+    def __init__(self, n: int, steps: dict[str, int]):
+        if n < 1:
+            raise ModelError(f"a rotation system needs n >= 1, got {n}")
+        for name in steps:
             if not isinstance(name, str) or not name:
                 raise ModelError(f"step name {name!r} must be a nonempty string")
-        self.steps = {name: s % self.n for name, s in self.steps.items()}
+        self.n = n
+        self.steps = {name: s % n for name, s in steps.items()}
 
     @property
     def space(self) -> FiniteSpace:
@@ -130,24 +131,28 @@ def first_hitting_time(n: int, step: int, x: int, arc: Arc) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Frozen):
     """count repeats of one elementary jump; power -1 means the inverse step."""
 
-    step: str
-    power: int
-    count: int
+    __slots__ = _fields = ("step", "power", "count")
+
+    def __init__(self, step: str, power: int, count: int):
+        _set(self, "step", step)
+        _set(self, "power", power)
+        _set(self, "count", count)
 
 
-@dataclass
-class Path:
+class Path(_Record):
     """A run-length encoded walk across the rotation graph."""
 
-    n: int
-    start: int
-    end: int
-    hit: int
-    segments: list[Segment]
+    _fields = ("n", "start", "end", "hit", "segments")
+
+    def __init__(self, n: int, start: int, end: int, hit: int, segments: list[Segment]):
+        self.n = n
+        self.start = start
+        self.end = end
+        self.hit = hit
+        self.segments = segments
 
     @property
     def length(self) -> int:
@@ -188,18 +193,12 @@ def connection_path(sys: RotationSystem, full_step: str, restricted_step: str,
     return Path(sys.n, x, z, hit, segments)
 
 
-@dataclass(frozen=True)
-class CurveRow:
-    eps: Fraction
-    arc_len: int
-    cost: Fraction
-    generates: bool
+class CurveRow(_Frozen):
+    __slots__ = _fields = ("eps", "arc_len", "cost", "generates")
 
 
-@dataclass
-class CostCurve:
-    rows: list[CurveRow]
-    infimum: Fraction | None
+class CostCurve(_Record):
+    _fields = ("rows", "infimum")
 
 
 def _exact_eps(value) -> Fraction:

@@ -13,11 +13,10 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import relcore
-from .relcore import ModelError
+from .relcore import ModelError, _Frozen, _Record, _set
 
 MAX_ATTEMPTS = 10_000
 MAX_SAMPLER_COSETS = 2_000_000  # index times factors, checked before any coset list is built
@@ -52,14 +51,13 @@ def derive_seed(master: int, *counters: int) -> int:
     return state
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Frozen):
     """Orders of the free-product factors; 0 is the infinite cyclic factor."""
 
-    factor_orders: tuple[int, ...]
+    __slots__ = _fields = ("factor_orders",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor_orders", tuple(self.factor_orders))
+    def __init__(self, factor_orders: tuple[int, ...]):
+        _set(self, "factor_orders", tuple(factor_orders))
         if not self.factor_orders:
             raise ModelError("a group spec needs at least one factor")
         for m in self.factor_orders:
@@ -67,12 +65,8 @@ class GroupSpec:
                 raise ModelError(f"factor order {m} must be 0 or at least 2")
 
 
-@dataclass(frozen=True)
-class GroupInvariants:
-    factor_costs: tuple[Fraction, ...]
-    predicted_cost: Fraction
-    beta1: Fraction
-    rank: int
+class GroupInvariants(_Frozen):
+    __slots__ = _fields = ("factor_costs", "predicted_cost", "beta1", "rank")
 
 
 def factor_cost(order: int) -> Fraction:
@@ -135,26 +129,25 @@ def _transitive(perms, index: int) -> bool:
     return reached == index
 
 
-@dataclass
-class PermAction:
+class PermAction(_Record):
     """One permutation of the cosets per factor, acting freely at torsion."""
 
-    spec: GroupSpec
-    index: int
-    perms: list[list[int]]
+    _fields = ("spec", "index", "perms")
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ModelError(f"index must be positive, got {self.index}")
-        if len(self.perms) != len(self.spec.factor_orders):
-            raise ModelError(
-                f"{len(self.spec.factor_orders)} factors but {len(self.perms)} permutations")
-        for order, perm in zip(self.spec.factor_orders, self.perms):
-            lengths = _cycle_lengths(perm, self.index)
+    def __init__(self, spec: GroupSpec, index: int, perms: list[list[int]]):
+        self.spec = spec
+        self.index = index
+        self.perms = perms
+        if index < 1:
+            raise ModelError(f"index must be positive, got {index}")
+        if len(perms) != len(spec.factor_orders):
+            raise ModelError(f"{len(spec.factor_orders)} factors but {len(perms)} permutations")
+        for order, perm in zip(spec.factor_orders, perms):
+            lengths = _cycle_lengths(perm, index)
             if order and any(length != order for length in lengths):
                 raise ModelError(
                     f"an order-{order} factor must act with every cycle of length {order}")
-        if not _transitive(self.perms, self.index):
+        if not _transitive(perms, index):
             raise ModelError("the factors do not act transitively on the cosets")
 
 
@@ -230,17 +223,18 @@ def _cycle_involutions(pts: list[int]) -> list[list[int]]:
 def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     """A uniform transitive action, free at torsion, as a pure function of (spec, index, seed).
 
-    The infinite dihedral spec (2, 2) is drawn without rejection: one
-    shuffle of the cosets, from the stream of (factor 0, attempt 0), read as
-    a cycle whose alternate edges are the two involutions.  Every other spec
-    draws per-factor permutations until the action is transitive, each
-    (factor, attempt) pair from its own stream derived from the master seed.
-    A lone factor is transitive only as one index-cycle, so it draws one and
-    never rejects (a lone order-m factor is refused before any draw unless
-    index is m).  Several factors give up after MAX_ATTEMPTS rejections, or
-    sooner when the attempts would draw more than MAX_SAMPLER_DRAWS cosets
-    in all.  At most MAX_SAMPLER_COSETS cosets (index times factors) are
-    drawn per attempt.  An action returned is built valid and not re-checked.
+    Two kinds of spec are drawn without rejection, from the stream of
+    (factor 0, attempt 0).  A lone factor is transitive only as one index-cycle, so it
+    draws one and returns it unwalked (a lone order-m factor is refused
+    before any draw unless index is m).  The infinite dihedral spec (2, 2)
+    is one shuffle of the cosets, read as a cycle whose alternate edges are
+    the two involutions.  Every other spec draws per-factor permutations
+    until the action is transitive, each (factor, attempt) pair from its own
+    stream derived from the master seed.  It gives up after MAX_ATTEMPTS
+    rejections, or sooner when the attempts would draw more than
+    MAX_SAMPLER_DRAWS cosets in all.  At most MAX_SAMPLER_COSETS cosets
+    (index times factors) are drawn per attempt.  An action returned is
+    built valid and not re-checked.
     """
     if index < 1:
         raise ModelError(f"index must be positive, got {index}")
@@ -252,22 +246,21 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     for order in orders:
         if order and index % order:
             raise ModelError(f"factor order {order} does not divide the index {index}")
-    if len(orders) == 1 and orders[0] and index != orders[0]:
-        raise ModelError(
-            f"no transitive action exists for orders {list(orders)} at index {index}: "
-            f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
+    if len(orders) == 1:
+        if orders[0] and index != orders[0]:
+            raise ModelError(
+                f"no transitive action exists for orders {list(orders)} at index {index}: "
+                f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
+        perm = _sample_factor_perm(index, index, random.Random(derive_seed(seed, 0, 0)))
+        return relcore._built(PermAction, spec, index, [perm])
     if orders == (2, 2):
         pts = list(range(index))
         _shuffle(random.Random(derive_seed(seed, 0, 0)), pts)
         return relcore._built(PermAction, spec, index, _cycle_involutions(pts))
-    lone = len(orders) == 1
     attempts = min(MAX_ATTEMPTS, MAX_SAMPLER_DRAWS // (index * len(orders)))
     for attempt in range(attempts):
-        perms = [
-            _sample_factor_perm(index if lone else order, index,
-                                random.Random(derive_seed(seed, j, attempt)))
-            for j, order in enumerate(orders)
-        ]
+        perms = [_sample_factor_perm(order, index, random.Random(derive_seed(seed, j, attempt)))
+                 for j, order in enumerate(orders)]
         if _transitive(perms, index):
             return relcore._built(PermAction, spec, index, perms)
     raise ModelError(
@@ -289,12 +282,8 @@ def subgroup_rank(act: PermAction) -> int:
     return 1 - chi
 
 
-@dataclass(frozen=True)
-class GradientRow:
-    index: int
-    rank: int
-    gradient: Fraction
-    matches_beta1: bool
+class GradientRow(_Frozen):
+    __slots__ = _fields = ("index", "rank", "gradient", "matches_beta1")
 
 
 def rank_gradient(spec: GroupSpec, indices, seed: int, samples: int = 1) -> list[GradientRow]:
@@ -346,17 +335,9 @@ def _modeled_factor_cost(order: int) -> Fraction:
     return relcore.min_cost(rel)
 
 
-@dataclass(frozen=True)
-class CoincidenceRow:
-    factor_orders: tuple[int, ...]
-    rank: int
-    predicted_cost: Fraction
-    beta1: Fraction
-    index: int
-    measured_cost: Fraction
-    factor_costs: tuple[Fraction, ...]
-    modeled_factor_costs: tuple[Fraction, ...]
-    match: bool
+class CoincidenceRow(_Frozen):
+    __slots__ = _fields = ("factor_orders", "rank", "predicted_cost", "beta1", "index",
+                           "measured_cost", "factor_costs", "modeled_factor_costs", "match")
 
 
 def coincidence_report(specs, max_index: int = 120, seed: int = 0) -> list[CoincidenceRow]:

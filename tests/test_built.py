@@ -6,7 +6,6 @@ each builder's output is passed back through the constructor here: it must
 not raise, and the rebuilt object must have the same fields.
 """
 import math
-from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,15 +35,15 @@ from orbitcost import (
 
 def assert_rebuilds(obj):
     """Oracle: the public constructor accepts obj's fields and stores them unchanged."""
-    values = [getattr(obj, f.name) for f in fields(obj)]
-    assert vars(obj).keys() == {f.name for f in fields(obj)}
+    values = [getattr(obj, name) for name in obj._fields]
+    assert vars(obj).keys() == set(obj._fields)
     if isinstance(obj, Relation):
         again = Relation(obj.space, obj.parent)
         assert again.parent == obj.parent
         assert Relation.periodic(obj.space, obj.base).base == obj.base
     else:
         again = type(obj)(*values)
-        assert [getattr(again, f.name) for f in fields(again)] == values
+        assert [getattr(again, name) for name in again._fields] == values
 
 
 def assert_graphing_rebuilds(g):

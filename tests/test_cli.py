@@ -1052,6 +1052,32 @@ def test_relation_file_past_the_atom_cap_is_one_error_line(tmp_path):
                f"{relcore.MAX_RELATION_ATOMS} atoms, got n=1000000000\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["single-gen"], "a single full generator is built on at most {cap} atoms, got n={n}"),
+    (["compress", "--arc", "0:{n}"], "a restricted relation has at most {cap} atoms, got {n}"),
+], ids=["single-gen", "compress"])
+def test_derived_map_past_the_atom_cap_is_one_error_line(tmp_path, argv, message):
+    # one atom past the cap: the child reads a relation of cap + 1 atoms and derives nothing
+    cap = relcore.MAX_DERIVED_ATOMS
+    n = cap + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "classes": []}))
+    argv = [argv[0], str(path), *(a.format(n=n) for a in argv[1:])]
+    assert run_capped(argv) == (1, "", f"error: {message.format(cap=cap, n=n)}\n")
+
+
+def test_compress_arc_past_the_cap_is_refused_before_its_atoms_are_listed(
+        capsys, tmp_path, monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("the arc's atoms were listed")
+    monkeypatch.setattr(relcore, "MAX_DERIVED_ATOMS", 5)
+    monkeypatch.setattr(cli.files, "make_subset", no_listing)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"n": 10, "classes": []}))
+    code, lines = run_error(capsys, ["compress", str(path), "--arc", "0:6"])
+    assert (code, lines) == (1, ["error: a restricted relation has at most 5 atoms, got 6"])
+
+
 def test_eps_exponent_past_the_bound_is_one_error_line(tmp_path):
     # Fraction would build 10**999999999999 first; the child's memory limit stops a regression
     path = tmp_path / "exp.json"
@@ -1100,14 +1126,17 @@ def test_package_namespace_is_unchanged(code):
     assert run_child(code).stdout == f"{names}\n"
 
 
-# python -m orbitcost ARGV, then the orbitcost submodules it loaded on the last stderr line
+# python -m orbitcost ARGV, then on the last stderr line the orbitcost submodules it loaded,
+# and dataclasses or inspect if it loaded them (their import chain costs every process)
 RUN_MAIN = """
 import runpy, sys
 sys.argv = ["orbitcost", *sys.argv[1:]]
 try:
     runpy.run_module("orbitcost", run_name="__main__", alter_sys=True)
 finally:
-    print(sorted(m for m in sys.modules if m.startswith("orbitcost.")), file=sys.stderr)
+    print(sorted(m for m in sys.modules
+                 if m.startswith("orbitcost.") or m in ("dataclasses", "inspect")),
+          file=sys.stderr)
 """
 
 
@@ -1115,7 +1144,9 @@ finally:
     (["cost", "{small}"], ["cli", "files", "relcore", "unionfind"]),
     (["reduce", "{small}", "--format", "json"], ["cli", "files", "relcore", "unionfind"]),
     (["eps-curve", "{rotation}"], ["cli", "files", "relcore", "rotation", "unionfind"]),
-], ids=["cost", "reduce-json", "eps-curve"])
+    (["schreier-rank", "--factors", "2,3", "--index", "6"],
+     ["cli", "files", "relcore", "schreier", "unionfind"]),
+], ids=["cost", "reduce-json", "eps-curve", "schreier-rank"])
 def test_a_verb_imports_only_its_own_modules(golden_files, argv, loaded):
     proc = run_child(RUN_MAIN, *[a.format(**golden_files) for a in argv])
     assert proc.stderr.splitlines()[-1] == str([f"orbitcost.{m}" for m in loaded])

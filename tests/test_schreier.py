@@ -325,6 +325,19 @@ def test_single_infinite_factor_finds_a_cycle():
     assert subgroup_rank(act) == 1
 
 
+@pytest.mark.parametrize("orders, index", [((0,), 1), ((0,), 7), ((0,), 300), ((5,), 5)])
+def test_lone_factor_draw_skips_the_transitivity_walk(monkeypatch, orders, index):
+    # one cycle through every coset is transitive as drawn; the draw is the rejection loop's
+    def no_walk(perms, index):
+        raise AssertionError("walked a lone factor's cycle")
+
+    monkeypatch.setattr(schreier, "_transitive", no_walk)
+    for seed in range(20):
+        act = sample_free_action(GroupSpec(orders), index, seed)
+        assert cycle_lengths(act.perms[0]) == [index]
+        assert act.perms == rejection_sampler_oracle(GroupSpec(orders), index, seed)
+
+
 @pytest.mark.parametrize("perms, index, expected", [
     ([[0]], 1, True),
     ([[0, 1, 2], [0, 1, 2]], 3, False),
