@@ -19,71 +19,70 @@ from .files import fmt_rational
 _PAIRS_PER_PIECE = 1024  # int pairs per piece of JSON text; small pieces keep the peak memory low
 
 
-def _u64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    try:
-        return files._as_seed(value)
-    except relcore.ModelError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _flag(parse, message: str):
+    """argparse type running parse on a flag's text; any fault is one usage-error line.
 
-
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
-
-
-def _factors(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"factors are a comma-separated order list, got {text!r}")
-
-
-def _indices(text: str) -> range | list[int]:
-    """Either 1,2,3 or start:stop:step with an inclusive stop, the latter kept as a range."""
-    try:
-        if ":" in text:
-            parts = [int(p) for p in text.split(":")]
-            if len(parts) == 2:
-                parts.append(1)
-            if len(parts) != 3 or parts[2] < 1:
-                raise ValueError
-            return range(parts[0], parts[1] + 1, parts[2])
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"indices are a comma list or start:stop:step, got {text!r}") from None
-
-
-def _specs(text: str) -> list[tuple[int, ...]]:
-    try:
-        return [tuple(int(p) for p in chunk.split(",")) for chunk in text.split(";")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"specs are semicolon-separated factor lists, got {text!r}") from None
-
-
-def _reported(parse):
-    """argparse type that shows parse's FormatError text, not argparse's generic line."""
+    A ModelError keeps its own text; any other ValueError shows as message % text.
+    """
     def convert(text: str):
         try:
             return parse(text)
-        except files.FormatError as e:
+        except relcore.ModelError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(message % (text,)) from None
     return convert
 
 
-_members = _reported(files.parse_members)
-_arc = _reported(files.parse_arc)
+def _ints(text: str, sep: str = ",") -> list[int]:
+    return [int(part) for part in text.split(sep)]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise relcore.ModelError("value must be positive")
+    return value
+
+
+def _index_list(text: str) -> range | list[int]:
+    """Either 1,2,3 or start:stop:step with an inclusive stop, the latter kept as a range."""
+    if ":" not in text:
+        return _ints(text)
+    parts = _ints(text, ":")
+    if len(parts) == 2:
+        parts.append(1)
+    start, stop, step = parts
+    if step < 1:
+        raise ValueError(step)
+    return range(start, stop + 1, step)
+
+
+def _arc_text(text: str) -> relcore.Arc:
+    start, length = _ints(text, ":")
+    return relcore.Arc(start, length)
+
+
+_u64 = _flag(lambda text: files._as_seed(int(text)), "seed must be an integer, got %r")
+_positive = _flag(_positive_int, "expected an integer, got %r")
+_factors = _flag(lambda text: tuple(_ints(text)),
+                 "factors are a comma-separated order list, got %r")
+_indices = _flag(_index_list, "indices are a comma list or start:stop:step, got %r")
+_specs = _flag(lambda text: [tuple(_ints(chunk)) for chunk in text.split(";")],
+               "specs are semicolon-separated factor lists, got %r")
+_members = _flag(_ints, "cannot read %r as a comma-separated atom list")
+_arc = _flag(_arc_text, "an arc is written start:length, got %r")
+
+
+def _subset(space: relcore.FiniteSpace, ns) -> relcore.Subset:
+    """The subset named by --members or --arc; an arc is bounded before its atoms are listed."""
+    if (ns.members is None) == (ns.arc is None):
+        raise relcore.ModelError("give exactly one of --members or --arc")
+    if ns.members is not None:
+        return relcore.Subset(space, ns.members)
+    ns.arc.check(space.n)
+    relcore.check_restriction_size(ns.arc.length)
+    return relcore.Subset(space, ns.arc.atoms(space.n))
 
 
 def _seed(ns) -> int:
@@ -229,17 +228,14 @@ def cmd_first_return(ns) -> dict:
         psi = g.maps[0]
     else:
         psi = g.map_named(ns.map_name)
-    a = files.make_subset(g.space, ns.members, ns.arc)
+    a = _subset(g.space, ns)
     induced = relcore.first_return_map(psi, a)
     return {"map": files.dump_map(induced)}
 
 
 def cmd_compress(ns) -> dict:
     r = files.load_relation(ns.relation)
-    if ns.members is None and ns.arc is not None:  # refused before the arc's atoms are listed
-        ns.arc.check(r.space.n)
-        relcore.check_restriction_size(ns.arc.length)
-    a = files.make_subset(r.space, ns.members, ns.arc)
+    a = _subset(r.space, ns)
     lhs, rhs = relcore.compression_sides(r, a)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .relcore import (MAX_DECIMAL_EXPONENT, Arc, FiniteSpace, FormatError,  # noqa: F401
-                      Graphing, ModelError, PartialMap, Relation, ShiftMapping, Subset,
+                      Graphing, ModelError, PartialMap, Relation, ShiftMapping,
                       _Record, parse_rational)
 
 
@@ -25,25 +25,6 @@ def fmt_rational(value) -> str:
     except ValueError:  # str() of an int refuses more than sys.get_int_max_str_digits() digits
         raise FormatError("a ratio whose numerator or denominator passes "
                           f"{sys.get_int_max_str_digits()} digits cannot be printed") from None
-
-
-def parse_members(text: str) -> list[int]:
-    """Comma-separated atom list, as used by --members."""
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise FormatError(f"cannot read {text!r} as a comma-separated atom list") from None
-
-
-def parse_arc(text: str) -> Arc:
-    """start:length, as used by --arc."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise FormatError(f"an arc is written start:length, got {text!r}")
-    try:
-        return Arc(int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise FormatError(f"an arc is written start:length, got {text!r}") from None
 
 
 def _load_json(path: str):
@@ -209,15 +190,6 @@ def _build_relation(doc) -> Relation:
 
 def dump_relation(r: Relation) -> dict:
     return {"n": r.space.n, "classes": r.classes()}
-
-
-def make_subset(space: FiniteSpace, members: list[int] | None, arc: Arc | None) -> Subset:
-    """Resolve the --members / --arc pair of flags into a subset."""
-    if (members is None) == (arc is None):
-        raise ModelError("give exactly one of --members or --arc")
-    if members is not None:
-        return Subset(space, frozenset(members))
-    return arc.subset(space)
 
 
 class SchreierDoc(_Record):

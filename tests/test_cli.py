@@ -1,4 +1,5 @@
 """Command line: one smoke per verb, exit codes, byte-stable reports."""
+import argparse
 import json
 import os
 import resource
@@ -171,6 +172,15 @@ def test_coincidence(capsys):
     assert rows["2,3"]["measured_cost"] == "7/6"
     assert rows["2,3"]["modeled_costs"] == "1/2,2/3"
     assert report["all_match"] is True
+
+
+def test_member_and_arc_flags():
+    assert cli._members("3,1,2") == [3, 1, 2]
+    assert cli._arc("5:3").start == 5
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._members("1,x")
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._arc("5")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -867,6 +877,39 @@ ONE_CLASS = {"n": 4, "classes": [[0, 1]]}
      "specs are semicolon-separated factor lists, got '2,x'"),
     (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", str(2**64 + 5)], None, 2,
      "orbitcost schreier-rank: error: argument --seed: seed must fit in 64 unsigned bits"),
+    # the usage surface of every flag converter, pinned line by line
+    (["schreier-rank", "--factors", "2,3", "--index", "x"], None, 2,
+     "orbitcost schreier-rank: error: argument --index: expected an integer, got 'x'"),
+    (["compress-check", "--factors", "2,3", "--index", "0"], None, 2,
+     "orbitcost compress-check: error: argument --index: value must be positive"),
+    (["rank-gradient", "--factors", "2,3", "--indices", "6", "--samples", "1.5"], None, 2,
+     "orbitcost rank-gradient: error: argument --samples: expected an integer, got '1.5'"),
+    (["rank-gradient", "--factors", "2,3", "--indices", "6", "--samples", "-1"], None, 2,
+     "orbitcost rank-gradient: error: argument --samples: value must be positive"),
+    (["coincidence", "--specs", "2,3", "--max-index", "ten"], None, 2,
+     "orbitcost coincidence: error: argument --max-index: expected an integer, got 'ten'"),
+    (["coincidence", "--specs", "2,3", "--max-index", "0"], None, 2,
+     "orbitcost coincidence: error: argument --max-index: value must be positive"),
+    (["invariants", "{path}", "--edge-budget", "x"], ONE_CLASS, 2,
+     "orbitcost invariants: error: argument --edge-budget: expected an integer, got 'x'"),
+    (["rank-gradient", "--factors", "2,3", "--indices", "1:2:3:4"], None, 2,
+     "orbitcost rank-gradient: error: argument --indices: "
+     "indices are a comma list or start:stop:step, got '1:2:3:4'"),
+    (["rank-gradient", "--factors", "2,3", "--indices", ":"], None, 2,
+     "orbitcost rank-gradient: error: argument --indices: "
+     "indices are a comma list or start:stop:step, got ':'"),
+    (["rank-gradient", "--factors", "2,3", "--indices", "6,,12"], None, 2,
+     "orbitcost rank-gradient: error: argument --indices: "
+     "indices are a comma list or start:stop:step, got '6,,12'"),
+    (["first-return", "{path}", "--members", "0;1"], ONE_CLASS, 2,
+     "orbitcost first-return: error: argument --members: "
+     "cannot read '0;1' as a comma-separated atom list"),
+    (["first-return", "{path}", "--arc", "0:1:2"], ONE_CLASS, 2,
+     "orbitcost first-return: error: argument --arc: an arc is written start:length, got '0:1:2'"),
+    (["rotation-demo", "{path}", "--x", "0", "--arc", "a:1"], ROTATION_AB, 2,
+     "orbitcost rotation-demo: error: argument --arc: an arc is written start:length, got 'a:1'"),
+    (["rotation-demo", "{path}", "--x", "q"], ROTATION_AB, 2,
+     "orbitcost rotation-demo: error: argument --x: invalid int value: 'q'"),
 ])
 def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
     # exit 1 is the one error line of main; exit 2 is argparse's usage text ending in its line
@@ -880,6 +923,19 @@ def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
     lines = captured.err.splitlines()
     assert (got, captured.out) == (code, "")
     assert (lines if code == 1 else lines[-1:]) == [line]
+
+
+GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
+
+
+@pytest.mark.parametrize("verb", list(GOLDEN_HELP), ids=lambda verb: verb or "orbitcost")
+def test_golden_help(capsys, monkeypatch, verb):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS first
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"] if verb else ["--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (0, GOLDEN_HELP[verb], "")
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -1066,16 +1122,37 @@ def test_derived_map_past_the_atom_cap_is_one_error_line(tmp_path, argv, message
     assert run_capped(argv) == (1, "", f"error: {message.format(cap=cap, n=n)}\n")
 
 
-def test_compress_arc_past_the_cap_is_refused_before_its_atoms_are_listed(
-        capsys, tmp_path, monkeypatch):
+def refused_before_listing(capsys, tmp_path, monkeypatch, verb, doc):
+    """Run verb on doc with an arc one atom past a cap of 5; listing any arc atom fails."""
     def no_listing(*args):
         raise AssertionError("the arc's atoms were listed")
     monkeypatch.setattr(relcore, "MAX_DERIVED_ATOMS", 5)
-    monkeypatch.setattr(cli.files, "make_subset", no_listing)
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps({"n": 10, "classes": []}))
-    code, lines = run_error(capsys, ["compress", str(path), "--arc", "0:6"])
+    monkeypatch.setattr(relcore.Arc, "atoms", no_listing)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, lines = run_error(capsys, [verb, str(path), "--arc", "0:6"])
     assert (code, lines) == (1, ["error: a restricted relation has at most 5 atoms, got 6"])
+
+
+def test_compress_arc_past_the_cap_is_refused_before_its_atoms_are_listed(
+        capsys, tmp_path, monkeypatch):
+    refused_before_listing(capsys, tmp_path, monkeypatch, "compress", {"n": 10, "classes": []})
+
+
+def test_first_return_arc_past_the_cap_is_refused_before_its_atoms_are_listed(
+        capsys, tmp_path, monkeypatch):
+    # a first-return map generates the relation restricted to the subset, so the same cap holds
+    refused_before_listing(capsys, tmp_path, monkeypatch, "first-return",
+                           {"space": {"n": 10}, "maps": [{"name": "a", "rotation": 1}]})
+
+
+def test_first_return_arc_past_the_cap_is_one_error_line(tmp_path):
+    # the view file lists nothing, so only the arc could exhaust the child's memory
+    path = tmp_path / "views.json"
+    path.write_text(json.dumps({"space": {"n": 10000000}, "maps": [{"name": "a", "rotation": 1}]}))
+    cap = relcore.MAX_DERIVED_ATOMS
+    assert run_capped(["first-return", str(path), "--arc", f"0:{cap + 1}"]) == (
+        1, "", f"error: a restricted relation has at most {cap} atoms, got {cap + 1}\n")
 
 
 def test_eps_exponent_past_the_bound_is_one_error_line(tmp_path):

@@ -32,8 +32,6 @@ from orbitcost.files import (
     load_relation,
     load_rotation,
     load_schreier,
-    parse_arc,
-    parse_members,
     parse_rational,
 )
 
@@ -73,15 +71,6 @@ def test_rational_exponent_bound():
     for text in (f"1e{MAX_DECIMAL_EXPONENT + 1}", "1e-" + "9" * 5000, " 7E+0000010001 "):
         with pytest.raises(FormatError, match=f"passes {MAX_DECIMAL_EXPONENT} in size$"):
             parse_rational(text)
-
-
-def test_member_and_arc_flags():
-    assert parse_members("3,1,2") == [3, 1, 2]
-    assert parse_arc("5:3").start == 5
-    with pytest.raises(FormatError):
-        parse_members("1,x")
-    with pytest.raises(FormatError):
-        parse_arc("5")
 
 
 def test_graphing_round_trip(tmp_path):
