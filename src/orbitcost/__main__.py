@@ -1,3 +1,7 @@
-from .cli import main
+import gc
 
-raise SystemExit(main())
+gc.disable()  # before the imports too; cli.run explains why no collection is needed
+
+from .cli import run  # noqa: E402
+
+run()

@@ -8,7 +8,9 @@ rule, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -202,7 +204,8 @@ def cmd_treeing(ns) -> dict:
 
 def cmd_min_cost(ns) -> dict:
     r = files.load_relation(ns.relation)
-    return {"min_cost": relcore.min_cost(r), "classes": r.class_count()}
+    classes = r.class_count()
+    return {"min_cost": r.space.measure(r.space.n - classes), "classes": classes}
 
 
 def cmd_reduce(ns) -> dict:
@@ -457,5 +460,27 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """The process entry point: main() with the cyclic collector off, then os._exit.
+
+    A command makes no reference cycles (argparse's parser tree is the only
+    garbage cycle a run leaves), so collector passes find nothing.  Nothing in
+    the package opens a file for writing, registers atexit or defines __del__,
+    so once stdout and stderr are flushed the process ends without tearing the
+    interpreter down.  Usage errors, --help and uncaught exceptions leave
+    main() by raising and exit the usual way.  A closed stdout is one error
+    line and exit 1; os._exit then drops the unwritten report.
+    """
+    gc.disable()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        print(f"error: cannot write the report: {e.strerror}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -166,7 +166,8 @@ def dump_graphing(g: Graphing) -> dict:
 
 
 def dump_map(m: PartialMap) -> dict:
-    return {"name": m.name, "pairs": [[x, y] for x, y in m.pairs()]}
+    mapping = m.mapping
+    return {"name": m.name, "pairs": [[x, mapping[x]] for x in sorted(mapping)]}
 
 
 def load_relation(path: str) -> Relation:

@@ -11,7 +11,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 from .unionfind import UnionFind
 
@@ -177,10 +177,6 @@ class Arc(_Frozen):
 
     def atoms(self, n: int) -> list[int]:
         return list(chain(*self.runs(n)))
-
-    def subset(self, space: FiniteSpace) -> Subset:
-        self.check(space.n)
-        return Subset(space, frozenset(self.atoms(space.n)))
 
 
 class ShiftMapping(Mapping):
@@ -376,7 +372,7 @@ class Relation(_Record):
         return _built(cls, space, parent)
 
     def class_count(self) -> int:
-        return sum(1 for x, r in enumerate(self.base) if x == r)
+        return len(set(self.base))  # a canonical base holds each representative once per class
 
     def classes(self) -> list[list[int]]:
         """Classes as ascending atom lists, ordered by representative."""
@@ -491,14 +487,15 @@ def _quotient(g: Graphing) -> UnionFind:
     maps = [m.mapping for m in g.maps]
     p = math.gcd(n, *(m.step for m in maps if isinstance(m, ShiftMapping) and m.arc.length == n))
     uf = UnionFind(p)
-    union = uf.union
     for m in maps:
         if not isinstance(m, ShiftMapping):
-            for x, y in m.items():
-                union(x % p, y % p)
-        elif m.arc.length < n:
+            if p == n:  # the atoms are already residues
+                uf.union_all(m.keys(), m.values())
+            else:
+                uf.union_all([x % p for x in m], [y % p for y in m.values()])
+        elif m.arc.length < n:  # min(length, p) entries: few once a full view makes p small
             for x in range(m.arc.start, m.arc.start + min(m.arc.length, p)):
-                union(x % p, (x + m.step) % p)
+                uf.union(x % p, (x + m.step) % p)
     return uf
 
 
@@ -559,11 +556,9 @@ def reduce_to_treeing(g: Graphing) -> Graphing:
     uf = UnionFind(g.space.n)
     kept_maps = []
     for m in g.maps:
-        kept: dict[int, int] = {}
-        for x in sorted(m.mapping):
-            y = m.mapping[x]
-            if x != y and uf.union(x, y):
-                kept[x] = y
+        sources = sorted(m.mapping)
+        targets = [m.mapping[x] for x in sources]
+        kept = dict(compress(zip(sources, targets), uf.union_all(sources, targets)))
         kept_maps.append(_built(PartialMap, m.name, g.space, kept))
     return Graphing(g.space, kept_maps)
 
@@ -692,11 +687,12 @@ def compression_sides(r: Relation, a: Subset) -> tuple[Fraction, Fraction]:
         raise ModelError("relation and subset live on different spaces")
     base, p = r.base, len(r.base)
     reps_met = {base[x % p] for x in a.members}
-    if len(reps_met) != r.class_count():
+    classes = r.class_count()
+    if len(reps_met) != classes:
         missed = next(x for x, rep in enumerate(base) if x == rep and x not in reps_met)
         raise ModelError(f"subset misses the class of atom {missed}")
     lhs = min_cost(restrict_relation(r, a)) - 1
-    rhs = a.measure * (min_cost(r) - 1)
+    rhs = a.measure * (r.space.measure(r.space.n - classes) - 1)
     return lhs, rhs
 
 

@@ -26,14 +26,38 @@ class UnionFind:
         self.components -= 1
         return True
 
+    def union_all(self, sources, targets) -> list[bool]:
+        """union(a, b) for each pair of the two sequences in order; which pairs merged.
+
+        find's path halving and union's by-size rule are written out in one
+        loop, so an entry costs no Python call.
+        """
+        parent, weight = self.parent, self.weight
+        merged = []
+        for a, b in zip(sources, targets):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]  # path halving
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                merged.append(False)
+                continue
+            if weight[a] < weight[b]:
+                a, b = b, a
+            parent[b] = a
+            weight[a] += weight[b]
+            merged.append(True)
+        self.components -= merged.count(True)
+        return merged
+
     def canonical(self) -> list[int]:
         """Per-atom representative array; representative = least atom of the component."""
-        find = self.find
+        parent = self.parent
         rep: dict[int, int] = {}
-        out = [0] * len(self.parent)
-        for x in range(len(self.parent)):
-            r = find(x)
-            if r not in rep:
-                rep[r] = x  # ascending scan, first sighting is the minimum
-            out[x] = rep[r]
+        out = [0] * len(parent)
+        for x in range(len(parent)):
+            r = x
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]  # path halving
+            out[x] = rep.setdefault(r, x)  # ascending scan, first sighting is the minimum
         return out

@@ -1,5 +1,6 @@
 """Command line: one smoke per verb, exit codes, byte-stable reports."""
 import argparse
+import gc
 import json
 import os
 import resource
@@ -250,14 +251,67 @@ def test_text_and_json_are_both_deterministic(capsys, graphing_file, rotation_fi
             assert first[0] == 0
 
 
-def test_subprocess_matches_in_process(capsys, tmp_path):
-    argv = ["rank-gradient", "--factors", "2,3", "--indices", "6:24:6",
-            "--seed", "7", "--format", "json"]
-    _, inner = run(capsys, argv)
+def write_large_relation(tmp_path) -> str:
+    """10^5 atoms in two classes; single-gen's JSON report of it is about 4.5 MB."""
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"n": 100_000, "classes": [list(range(0, 100_000, 2))]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rank-gradient", "--factors", "2,3", "--indices", "6:24:6", "--seed", "7",
+      "--format", "json"], 0),
+    # far past a pipe buffer: the process must flush all of it before it exits
+    (["single-gen", "{large}", "--format", "json"], 0),
+    (["min-cost", "{missing}"], 1),
+], ids=["rank-gradient", "past-a-pipe-buffer", "error-line"])
+def test_subprocess_matches_in_process(capsys, tmp_path, argv, code):
+    large = write_large_relation(tmp_path) if "{large}" in argv else None
+    argv = [a.format(large=large, missing=tmp_path / "no.json") for a in argv]
+    assert main(argv) == code
+    inner = capsys.readouterr()
     proc = subprocess.run([sys.executable, "-m", "orbitcost"] + argv,
                           capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == inner
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, inner.out, inner.err)
+    assert code == 0 or proc.stderr == f"error: {tmp_path / 'no.json'}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("verb", ["min-cost", "single-gen"])
+def test_a_closed_stdout_is_one_error_line(tmp_path, verb):
+    # the read end is closed before the child starts, so its first write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitcost", verb, write_large_relation(tmp_path),
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "error: cannot write the report: Broken pipe\n")
+
+
+def unreachable_after_main(argv) -> int:
+    """Objects gc.collect() finds unreachable after cli.main ran with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+    finally:
+        gc.enable()
+    return gc.collect()
+
+
+def test_garbage_cycles_of_a_command_do_not_grow_with_its_input(capsys, golden_files, tmp_path):
+    # the process entry point runs a command with the collector off; what that leaves
+    # uncollected is argparse's parser tree, the same for n = 5 as for n = 10^5
+    counts = [unreachable_after_main(argv) for argv in (
+        ["min-cost", golden_files["relation"]],
+        ["eps-curve", golden_files["rotation"], "--format", "json"],
+        ["single-gen", write_large_relation(tmp_path), "--format", "json"])]
+    capsys.readouterr()
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
 
 
 # Exact reports pinned from the previous release, so a byte change between
@@ -1204,16 +1258,23 @@ def test_package_namespace_is_unchanged(code):
 
 
 # python -m orbitcost ARGV, then on the last stderr line the orbitcost submodules it loaded,
-# and dataclasses or inspect if it loaded them (their import chain costs every process)
+# and dataclasses or inspect if it loaded them (their import chain costs every process).
+# The CLI ends with os._exit, which skips a finally clause, so the list also prints there.
 RUN_MAIN = """
-import runpy, sys
+import os, runpy, sys
+def report():
+    print(sorted(m for m in sys.modules
+                 if m.startswith("orbitcost.") or m in ("dataclasses", "inspect")),
+          file=sys.stderr, flush=True)
+def report_then_exit(code, _exit=os._exit):
+    report()
+    _exit(code)
+os._exit = report_then_exit
 sys.argv = ["orbitcost", *sys.argv[1:]]
 try:
     runpy.run_module("orbitcost", run_name="__main__", alter_sys=True)
 finally:
-    print(sorted(m for m in sys.modules
-                 if m.startswith("orbitcost.") or m in ("dataclasses", "inspect")),
-          file=sys.stderr)
+    report()
 """
 
 

@@ -35,6 +35,7 @@ from orbitcost import (
     to_edge_set,
     transversal,
 )
+from orbitcost import files
 from orbitcost.unionfind import UnionFind
 
 
@@ -591,3 +592,29 @@ def test_brute_force_matches_per_class_oracle(r, edge_budget):
             brute_force_min_cost(r, edge_budget)
     else:
         assert brute_force_min_cost(r, edge_budget) == expected
+
+
+@st.composite
+def pair_lists(draw, max_n=30, max_pairs=60):
+    n = draw(st.integers(1, max_n))
+    atoms = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(atoms, atoms), max_size=max_pairs))
+
+
+@settings(max_examples=200)
+@given(pair_lists())
+def test_union_all_matches_pair_by_pair_union(case):
+    n, pairs = case
+    batch, oracle = UnionFind(n), UnionFind(n)
+    merged = batch.union_all([a for a, _ in pairs], [b for _, b in pairs])
+    assert merged == [oracle.union(a, b) for a, b in pairs]
+    assert batch.components == oracle.components
+    least: dict[int, int] = {}
+    assert batch.canonical() == [least.setdefault(oracle.find(x), x) for x in range(n)]
+
+
+@given(st.one_of(relations(max_n=30), periodic_relations()), graphings(max_n=12))
+def test_class_count_and_dumped_pairs_match_their_scans(r, g):
+    assert r.class_count() == sum(1 for x, rep in enumerate(r.base) if x == rep)
+    for m in g.maps:
+        assert files.dump_map(m)["pairs"] == [[x, y] for x, y in sorted(m.mapping.items())]
