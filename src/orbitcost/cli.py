@@ -8,6 +8,7 @@ rule, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -85,10 +86,6 @@ def _subset(space: relcore.FiniteSpace, ns) -> relcore.Subset:
     ns.arc.check(space.n)
     relcore.check_restriction_size(ns.arc.length)
     return relcore.Subset(space, ns.arc.atoms(space.n))
-
-
-def _seed(ns) -> int:
-    return 0 if ns.seed is None else ns.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,29 +312,26 @@ def cmd_invariants(ns) -> dict:
 
 
 def cmd_schreier_rank(ns) -> dict:
-    from .schreier import GroupSpec, sample_free_action, subgroup_rank
+    from .schreier import GroupSpec, _rank, _require_action
     spec = GroupSpec(ns.factors)
-    act = sample_free_action(spec, ns.index, _seed(ns))
+    _require_action(spec, ns.index)
     return {"factors": ",".join(str(m) for m in spec.factor_orders),
             "index": ns.index,
-            "rank": subgroup_rank(act)}
+            "rank": _rank(spec, ns.index)}
 
 
 def cmd_rank_gradient(ns) -> dict:
     from .schreier import GroupSpec, group_invariants, rank_gradient
-    factors, indices, seed = ns.factors, ns.indices, ns.seed
+    factors, indices = ns.factors, ns.indices
     if ns.schreier is not None:
         doc = files.load_schreier(ns.schreier)
         factors = factors if factors is not None else doc.factors
         indices = indices if indices is not None else doc.indices
-        if seed is None:
-            seed = doc.seed
     if factors is None or indices is None:
         raise relcore.ModelError("give factors and indices, by file or by flag")
-    seed = 0 if seed is None else seed
     spec = GroupSpec(factors)
     beta1 = group_invariants(spec).beta1
-    rows = rank_gradient(spec, indices, seed, ns.samples)
+    rows = rank_gradient(spec, indices, samples=ns.samples)
     return {"factors": ",".join(str(m) for m in spec.factor_orders),
             "beta1": beta1,
             "rows": [{"index": row.index, "rank": row.rank,
@@ -350,13 +344,13 @@ def cmd_rank_gradient(ns) -> dict:
 def cmd_compress_check(ns) -> dict:
     from .schreier import GroupSpec, compression_check
     spec = GroupSpec(ns.factors)
-    lhs, rhs = compression_check(spec, ns.index, _seed(ns))
+    lhs, rhs = compression_check(spec, ns.index)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
 def cmd_coincidence(ns) -> dict:
     from .schreier import coincidence_report
-    rows = coincidence_report(ns.specs, ns.max_index, _seed(ns))
+    rows = coincidence_report(ns.specs, ns.max_index)
     return {"rows": [{"factors": ",".join(str(m) for m in row.factor_orders),
                       "rank": row.rank,
                       "predicted_cost": row.predicted_cost,
@@ -375,9 +369,9 @@ def _scalar(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, str)):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, str):
+        return value
+    if type(value) is int or isinstance(value, Fraction):
         return fmt_rational(value)
     return json.dumps(value, sort_keys=True, default=fmt_rational)
 
@@ -401,8 +395,9 @@ def _json(value, indent: str, out: list) -> None:
     text.  The caller joins out once, so no long text is copied per nesting level and
     every piece stays small.  Dict keys are strings; value sits at indent.
     """
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        out.append(json.dumps(value, default=fmt_rational))
+    if not isinstance(value, (dict, list, tuple)) or not value:  # an int takes the digit guard
+        out.append(fmt_rational(value) if type(value) is int
+                   else json.dumps(value, default=fmt_rational))
         return
     inner = indent + "  "
     if isinstance(value, dict):
@@ -456,7 +451,18 @@ def main(argv=None) -> int:
     except relcore.ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    sys.stdout.write(text)
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream, such as an io.StringIO put in by redirect_stdout
+        sys.stdout.write(text)
+        return 0
+    # PYTHONUNBUFFERED=1 makes this the raw file, whose write may take only part of the bytes
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        taken = out.write(data)
+        if not taken:  # None: a non-blocking stdout is full
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        data = data[taken:]
     return 0
 
 
@@ -468,14 +474,14 @@ def run():
     the package opens a file for writing, registers atexit or defines __del__,
     so once stdout and stderr are flushed the process ends without tearing the
     interpreter down.  Usage errors, --help and uncaught exceptions leave
-    main() by raising and exit the usual way.  A closed stdout is one error
+    main() by raising and exit the usual way.  A failed write to stdout is one error
     line and exit 1; os._exit then drops the unwritten report.
     """
     gc.disable()
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError as e:
+    except OSError as e:  # only a write raises one: files makes the rest FormatErrors
         print(f"error: cannot write the report: {e.strerror}", file=sys.stderr)
         code = 1
     sys.stderr.flush()

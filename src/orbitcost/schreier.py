@@ -21,7 +21,7 @@ from .relcore import ModelError, _Frozen, _Record, _set
 MAX_ATTEMPTS = 10_000
 MAX_SAMPLER_COSETS = 2_000_000  # index times factors, checked before any coset list is built
 MAX_SAMPLER_DRAWS = 40_000_000  # cosets drawn per call over all attempts; bounds its time
-MAX_GRADIENT_ROWS = 10_000  # indices times samples per rank_gradient call, checked before any draw
+MAX_GRADIENT_ROWS = 10_000  # indices times samples per rank_gradient call, checked before any row
 
 _SHUFFLE_CHUNK = 4096  # 32-bit words fetched per getrandbits call
 _WORD = next(code for code in "IL" if array(code).itemsize == 4)
@@ -220,37 +220,58 @@ def _cycle_involutions(pts: list[int]) -> list[list[int]]:
     return [_pairing(pts), _pairing(pts[1:] + pts[:1])]
 
 
+def _require_action(spec: GroupSpec, index: int) -> None:
+    """Refuse (spec, index) unless a transitive action, free at torsion, exists.
+
+    Joined where they share a coset, the cycles of two torsion factors form
+    a bipartite multigraph with i edges on at most i vertices, which can be
+    connected; an infinite factor can be one i-cycle, and a lone order-m
+    factor is transitive only at index m.
+    """
+    if index < 1:
+        raise ModelError(f"index must be positive, got {index}")
+    orders = spec.factor_orders
+    for order in orders:
+        if order and index % order:
+            raise ModelError(f"factor order {order} does not divide the index {index}")
+    if len(orders) == 1 and orders[0] and index != orders[0]:
+        raise ModelError(
+            f"no transitive action exists for orders {list(orders)} at index {index}: "
+            f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
+
+
+def _rank(spec: GroupSpec, index: int) -> int:
+    """Schreier's index formula 1 - i*chi for the free subgroup behind an index-i action.
+
+    i*chi = i - k*i + (i/m summed over the torsion factors), with chi the
+    Euler characteristic of the free product of k cyclic groups.
+    """
+    orders = spec.factor_orders
+    return 1 - (index - len(orders) * index + sum(index // m for m in orders if m))
+
+
 def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     """A uniform transitive action, free at torsion, as a pure function of (spec, index, seed).
 
     Two kinds of spec are drawn without rejection, from the stream of
     (factor 0, attempt 0).  A lone factor is transitive only as one index-cycle, so it
-    draws one and returns it unwalked (a lone order-m factor is refused
-    before any draw unless index is m).  The infinite dihedral spec (2, 2)
+    draws one and returns it unwalked.  The infinite dihedral spec (2, 2)
     is one shuffle of the cosets, read as a cycle whose alternate edges are
     the two involutions.  Every other spec draws per-factor permutations
     until the action is transitive, each (factor, attempt) pair from its own
     stream derived from the master seed.  It gives up after MAX_ATTEMPTS
     rejections, or sooner when the attempts would draw more than
     MAX_SAMPLER_DRAWS cosets in all.  At most MAX_SAMPLER_COSETS cosets
-    (index times factors) are drawn per attempt.  An action returned is
-    built valid and not re-checked.
+    (index times factors) are drawn per attempt, and _require_action is met
+    before any draw.  An action returned is built valid and not re-checked.
     """
-    if index < 1:
-        raise ModelError(f"index must be positive, got {index}")
     orders = spec.factor_orders
-    if index * len(orders) > MAX_SAMPLER_COSETS:
+    if index * len(orders) > MAX_SAMPLER_COSETS:  # never true when index < 1
         raise ModelError(
             f"the sampler draws at most {MAX_SAMPLER_COSETS} cosets (index times factors), "
             f"got {index} x {len(orders)}")
-    for order in orders:
-        if order and index % order:
-            raise ModelError(f"factor order {order} does not divide the index {index}")
+    _require_action(spec, index)
     if len(orders) == 1:
-        if orders[0] and index != orders[0]:
-            raise ModelError(
-                f"no transitive action exists for orders {list(orders)} at index {index}: "
-                f"a lone order-{orders[0]} factor acts transitively only at index {orders[0]}")
         perm = _sample_factor_perm(index, index, random.Random(derive_seed(seed, 0, 0)))
         return relcore._built(PermAction, spec, index, [perm])
     if orders == (2, 2):
@@ -269,30 +290,21 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
 
 
 def subgroup_rank(act: PermAction) -> int:
-    """Rank of the index-i subgroup behind the action: 1 - chi.
-
-    chi = i - k*i + (i/m summed over the torsion factors) is i times the
-    Euler characteristic of the free product of k cyclic groups.  The
-    subgroup is free of that rank because every PermAction, checked or
-    sampled, is transitive with every order-m cycle of length m.
-    """
-    i = act.index
-    orders = act.spec.factor_orders
-    chi = i - len(orders) * i + sum(i // m for m in orders if m)
-    return 1 - chi
+    """_rank of the action's subgroup: transitive and free at torsion, every PermAction has one."""
+    return _rank(act.spec, act.index)
 
 
 class GradientRow(_Frozen):
     __slots__ = _fields = ("index", "rank", "gradient", "matches_beta1")
 
 
-def rank_gradient(spec: GroupSpec, indices, seed: int, samples: int = 1) -> list[GradientRow]:
-    """(rank - 1)/index over freshly sampled actions, one row per sample.
+def rank_gradient(spec: GroupSpec, indices, seed: int = 0, samples: int = 1) -> list[GradientRow]:
+    """(rank - 1)/index by _rank at each index _require_action admits, samples rows each.
 
-    For transitive free-at-torsion actions every row lands exactly on the
-    predicted first Betti value; the match flag records the comparison
-    rather than assuming it.  An empty index list is an error, not an empty
-    table.  At most MAX_GRADIENT_ROWS + 1 indices are read from any iterable.
+    Nothing is drawn, so seed is not read and the rows of one index are
+    equal; each matches the first Betti value.  An empty index list is an
+    error, not an empty table.  At most MAX_GRADIENT_ROWS + 1 indices are
+    read from any iterable.
     """
     if samples < 1:
         raise ModelError(f"samples must be positive, got {samples}")
@@ -303,36 +315,19 @@ def rank_gradient(spec: GroupSpec, indices, seed: int, samples: int = 1) -> list
     beta1 = group_invariants(spec).beta1
     rows = []
     for index in indices:
-        for s in range(samples):
-            act = sample_free_action(spec, index, derive_seed(seed, index, s))
-            p = subgroup_rank(act)
-            grad = Fraction(p - 1, index)
-            rows.append(GradientRow(index, p, grad, grad == beta1))
+        _require_action(spec, index)
+        p = _rank(spec, index)
+        grad = Fraction(p - 1, index)
+        rows += [GradientRow(index, p, grad, grad == beta1)] * samples
     if not rows:
         raise ModelError("rank gradient needs at least one index")
     return rows
 
 
-def compression_check(spec: GroupSpec, index: int, seed: int) -> tuple[Fraction, Fraction]:
-    """(rank - 1, index * beta1) for one sampled action; the sides agree exactly."""
-    act = sample_free_action(spec, index, seed)
-    p = subgroup_rank(act)
-    return Fraction(p - 1), index * group_invariants(spec).beta1
-
-
-def _modeled_factor_cost(order: int) -> Fraction:
-    """Re-price one factor through the finite relation calculus.
-
-    A finite order m is the minimal cost of the one-class relation on m
-    atoms, kept as its period-1 base; the infinite factor is the cost of the
-    single full map cycling one atom.  Costs are normalised by n, so more atoms or more classes of
-    the same size give the same value.
-    """
-    space = relcore.FiniteSpace(order or 1)
-    rel = relcore.Relation.periodic(space, [0])
-    if order == 0:
-        return relcore.cost(relcore.Graphing(space, [relcore.single_full_generator(rel)]))
-    return relcore.min_cost(rel)
+def compression_check(spec: GroupSpec, index: int, seed: int = 0) -> tuple[Fraction, Fraction]:
+    """(rank - 1, index * beta1) by _rank, where _require_action admits index; seed is unread."""
+    _require_action(spec, index)
+    return Fraction(_rank(spec, index) - 1), index * group_invariants(spec).beta1
 
 
 class CoincidenceRow(_Frozen):
@@ -341,16 +336,15 @@ class CoincidenceRow(_Frozen):
 
 
 def coincidence_report(specs, max_index: int = 120, seed: int = 0) -> list[CoincidenceRow]:
-    """Predicted cost, measured rank gradient and re-priced factors, side by side.
+    """Predicted cost, rank gradient and factor prices, side by side; seed is not read.
 
-    The measured column samples one action at the largest index <= max_index
-    that every torsion order divides (a lone torsion factor is only ever
-    transitive on its own order) and reports 1 + (rank - 1)/index.  The match
-    flag compares measurement and re-pricing against the prediction; nothing
-    beyond this class of groups is asserted.
+    The gradient is 1 + (rank - 1)/index by _rank, at the largest index <=
+    max_index that every torsion order divides (a lone torsion factor's own
+    order).  A factor is priced at factor_cost, the minimal cost of one class
+    of m atoms.  The match flag compares gradient and prediction.
     """
     rows = []
-    for pos, raw in enumerate(specs):
+    for raw in specs:
         spec = raw if isinstance(raw, GroupSpec) else GroupSpec(tuple(raw))
         inv = group_invariants(spec)
         base = math.lcm(*(m for m in spec.factor_orders if m))
@@ -361,12 +355,9 @@ def coincidence_report(specs, max_index: int = 120, seed: int = 0) -> list[Coinc
             index = base
         else:
             index = max_index // base * base
-        act = sample_free_action(spec, index, derive_seed(seed, pos))
-        p = subgroup_rank(act)
-        measured = 1 + Fraction(p - 1, index)
-        modeled = tuple(_modeled_factor_cost(m) for m in spec.factor_orders)
-        match = measured == inv.predicted_cost and modeled == inv.factor_costs
+        _require_action(spec, index)
+        measured = 1 + Fraction(_rank(spec, index) - 1, index)
         rows.append(CoincidenceRow(spec.factor_orders, inv.rank, inv.predicted_cost,
                                    inv.beta1, index, measured, inv.factor_costs,
-                                   modeled, match))
+                                   inv.factor_costs, measured == inv.predicted_cost))
     return rows

@@ -276,19 +276,59 @@ def test_subprocess_matches_in_process(capsys, tmp_path, argv, code):
     assert code == 0 or proc.stderr == f"error: {tmp_path / 'no.json'}: No such file or directory\n"
 
 
+# the child's stdout is a buffered writer without the variable and the raw file with it
+BUFFERING_ENVS = {
+    "buffered": {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "unbuffered": {**os.environ, "PYTHONUNBUFFERED": "1"},
+}
+
+
 @pytest.mark.parametrize("verb", ["min-cost", "single-gen"])
 def test_a_closed_stdout_is_one_error_line(tmp_path, verb):
     # the read end is closed before the child starts, so its first write to stdout fails
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    path = write_large_relation(tmp_path)
+    for env in BUFFERING_ENVS.values():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orbitcost", verb, path, "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: cannot write the report: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffering", list(BUFFERING_ENVS))
+def test_a_full_stdout_is_one_error_line(relation_file, buffering):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "orbitcost", "min-cost", relation_file],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=BUFFERING_ENVS[buffering], timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write the report: No space left on device\n")
+
+
+@pytest.mark.parametrize("buffering", list(BUFFERING_ENVS))
+def test_a_reader_that_leaves_mid_report_gets_one_error_line(tmp_path, buffering):
+    # about 4.5 MB in one write, far past a pipe buffer: the reader takes one byte and
+    # closes, so the write returns short; the rest must fail loudly, not vanish
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitcost", "single-gen", write_large_relation(tmp_path),
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERING_ENVS[buffering])
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "orbitcost", verb, write_large_relation(tmp_path),
-             "--format", "json"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b"error: cannot write the report: Broken pipe\n"
     finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, "error: cannot write the report: Broken pipe\n")
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def unreachable_after_main(argv) -> int:
@@ -808,6 +848,34 @@ def test_golden_stdout(capsys, golden_files, argv, expected):
     assert (code, captured.out, captured.err) == (0, expected, "")
 
 
+SCHREIER_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT
+                    if argv[0] in ("schreier-rank", "rank-gradient", "compress-check",
+                                   "coincidence")]
+
+
+@pytest.mark.parametrize("argv, expected", SCHREIER_GOLDENS,
+                         ids=[" ".join(argv) for argv, _ in SCHREIER_GOLDENS])
+def test_schreier_verbs_answer_without_a_draw(capsys, golden_files, monkeypatch, argv,
+                                              expected):
+    # every draw of the sampler shuffles, and every non-(2,2) draw takes one factor permutation
+    def no_draws(*args):
+        raise AssertionError("drew a permutation")
+    monkeypatch.setattr(schreier, "_sample_factor_perm", no_draws)
+    monkeypatch.setattr(schreier, "_shuffle", no_draws)
+    code = main([a.format(**golden_files) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_rank_too_long_to_print_is_one_error_line(capsys, fmt):
+    # eleven free factors: rank 1 + 10 * index has 4301 digits, one past what str() prints
+    code, lines = run_error(capsys, ["schreier-rank", "--factors", ",".join(["0"] * 11),
+                                     "--index", "9" * 4300, "--format", fmt])
+    assert (code, lines) == (1, ["error: a ratio whose numerator or denominator passes "
+                                 f"{sys.get_int_max_str_digits()} digits cannot be printed"])
+
+
 # JSON texts that json.dumps cannot write, so the loader-error cases take them as raw text:
 # 100000 nested arrays (3.13 parses 2000) and a 5000-digit integer literal
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -980,6 +1048,10 @@ def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
 
 
 GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
+if sys.version_info >= (3, 13):
+    # argparse 3.13 counts the subcommand indent in the help column and keeps an option
+    # with its metavar when it wraps usage; these two texts are its layout, the rest is alike
+    GOLDEN_HELP.update(json.loads((Path(__file__).parent / "golden_help_3.13.json").read_text()))
 
 
 @pytest.mark.parametrize("verb", list(GOLDEN_HELP), ids=lambda verb: verb or "orbitcost")
@@ -1111,9 +1183,9 @@ def test_rank_gradient_reports_a_bad_factor_before_the_row_cap():
 
 def test_factor_repricing_at_a_trillion_atoms_in_bounded_memory():
     # one class on 10**12 atoms is priced on its period; a listed relation fails the child at once
-    code = ("from orbitcost.schreier import _modeled_factor_cost; "
-            "print(_modeled_factor_cost(10**12))")
-    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
+    code = "from schreier_oracles import modeled_factor_cost; print(modeled_factor_cost(10**12))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(orbitcost.__file__).parents[1]), str(Path(__file__).parent)])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           preexec_fn=_cap_address_space, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "999999999999/1000000000000\n", "")
@@ -1141,16 +1213,24 @@ def test_cli_runs_on_the_standard_library_alone():
     assert proc.stdout.splitlines()[-1] == "rank: 2"
 
 
-@pytest.mark.parametrize("argv", [
-    ["schreier-rank", "--factors", "2,3", "--index", "600000000"],
-    ["compress-check", "--factors", "0,0", "--index", "600000000"],
-    ["coincidence", "--specs", "0,0", "--max-index", "600000000"],
+@pytest.mark.parametrize("argv, expected", [
+    (["schreier-rank", "--factors", "2,3", "--index", "600000000"],
+     "command: schreier-rank\nfactors: 2,3\nindex: 600000000\nrank: 100000001\n"),
+    (["compress-check", "--factors", "0,0", "--index", "600000000"],
+     "command: compress-check\nlhs: 600000000\nrhs: 600000000\nequal: true\n"),
+    (["coincidence", "--specs", "0,0", "--max-index", "600000000"],
+     "command: coincidence\nrows:\n"
+     "  factors  rank  predicted_cost  beta1  index      measured_cost  factor_costs"
+     "  modeled_costs  match\n"
+     "  0,0      2     2               1      600000000  2              1,1"
+     "           1,1            true\n"
+     "all_match: true\n"),
 ], ids=["schreier-rank", "compress-check", "coincidence"])
-def test_sampler_past_the_coset_cap_is_one_error_line(argv):
-    # each draw would build index-sized lists; the child's memory limit stops a regression
-    assert run_capped(argv) == (
-        1, "", f"error: the sampler draws at most {schreier.MAX_SAMPLER_COSETS} cosets "
-               "(index times factors), got 600000000 x 2\n")
+def test_verbs_past_the_sampler_cap_answer_in_bounded_memory(argv, expected):
+    # 600000000 x 2 cosets is 300 times the sampler's cap, and the verbs answer by formula;
+    # a draw would build index-sized lists, and the child's memory limit stops that regression
+    assert 600_000_000 * 2 > schreier.MAX_SAMPLER_COSETS
+    assert run_capped(argv) == (0, expected, "")
 
 
 def test_relation_file_past_the_atom_cap_is_one_error_line(tmp_path):

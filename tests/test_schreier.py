@@ -24,8 +24,13 @@ from orbitcost import (
     subgroup_rank,
 )
 from orbitcost import relcore, schreier
-from orbitcost.schreier import _modeled_factor_cost
 from orbitcost.unionfind import UnionFind
+from schreier_oracles import (
+    coincidence_report_by_draw,
+    compression_check_by_draw,
+    modeled_factor_cost,
+    rank_gradient_by_draw,
+)
 
 
 def check_permutation_oracle(perm, index):
@@ -558,6 +563,67 @@ def test_gradient_equals_beta1_for_any_sample(orders, scale, seed):
     assert Fraction(p - 1, index) == group_invariants(spec).beta1
 
 
+# ---------------------------------------------------------------- existence rule
+
+def refusal(f, *args):
+    """The text of the ModelError f raises, or None when it answers."""
+    try:
+        f(*args)
+    except ModelError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def small_cases(draw):
+    """1 to 3 factors of orders 0, 2..6 at an index up to 60; half the indices suit the orders."""
+    orders = tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 6]), min_size=1, max_size=3)))
+    base = math.lcm(*(m for m in orders if m))
+    if base <= 60 and draw(st.booleans()):
+        return GroupSpec(orders), base * draw(st.integers(1, 60 // base))
+    return GroupSpec(orders), draw(st.integers(-1, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cases(), st.integers(0, 2**64 - 1))
+@example((GroupSpec((0, 3)), 0), 0)  # index must be positive
+@example((GroupSpec((4, 6)), 18), 0)  # 6 divides, 4 does not
+@example((GroupSpec((2,)), 4), 0)  # a lone torsion factor off its order
+@example((GroupSpec((6,)), 6), 0)
+@example((GroupSpec((0,)), 1), 0)
+@example((GroupSpec((2, 2, 2)), 2), 0)  # three copies of the one involution on two cosets
+@example((GroupSpec((6, 6, 6)), 6), 0)
+def test_existence_rule_matches_the_sampler(case, seed):
+    spec, index = case
+    assert (refusal(schreier._require_action, spec, index)
+            == refusal(sample_free_action, spec, index, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_cases(), st.integers(1, 3), st.integers(0, 2**64 - 1))
+@example((GroupSpec((2, 3)), 60), 2, 0)
+@example((GroupSpec((2, 2)), 12), 1, 0)
+@example((GroupSpec((5,)), 5), 1, 0)  # coincidence takes a lone torsion factor at its order
+def test_formula_rows_equal_the_drawing_oracles(case, samples, seed):
+    spec, index = case
+    try:
+        drawn = rank_gradient_by_draw(spec, [index], seed, samples)
+    except ModelError:
+        return  # no action to draw; test_existence_rule_matches_the_sampler pins the refusal
+    assert rank_gradient(spec, [index], seed, samples) == drawn
+    assert compression_check(spec, index, seed) == compression_check_by_draw(spec, index, seed)
+    assert (coincidence_report([spec], index, seed)
+            == coincidence_report_by_draw([spec], index, seed))
+
+
+def test_formula_reports_equal_the_drawing_oracles_on_several_specs():
+    specs = [(2, 3), (0, 0), (2, 2), (5,), (0, 0, 2)]
+    assert coincidence_report(specs, 120, 2) == coincidence_report_by_draw(specs, 120, 2)
+    spec = GroupSpec((0, 0, 2))
+    assert (rank_gradient(spec, range(2, 41, 2), 9, 2)
+            == rank_gradient_by_draw(spec, range(2, 41, 2), 9, 2))
+
+
 # ---------------------------------------------------------------- coincidence
 
 def test_coincidence_report_rows():
@@ -604,4 +670,4 @@ def many_class_factor_cost(order, atoms):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([0]) | st.integers(2, 300), st.integers(300, 2000))
 def test_modeled_factor_cost_matches_many_class_oracle(order, atoms):
-    assert _modeled_factor_cost(order) == many_class_factor_cost(order, atoms) == factor_cost(order)
+    assert modeled_factor_cost(order) == many_class_factor_cost(order, atoms) == factor_cost(order)
