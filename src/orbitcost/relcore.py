@@ -37,9 +37,9 @@ class FormatError(ModelError):
 # about 10**6), while anything past 4300 digits cannot be printed anyway.
 MAX_DECIMAL_EXPONENT = 10_000
 MAX_RELATION_ATOMS = 10_000_000  # n that Relation.from_classes lists atom by atom
-# Atoms of the map or relation that single_full_generator and restrict_relation build one
-# by one from a relation.  Under a 1.5 GB address-space limit a single-gen process peaks at
-# about 1.1 GB on 4*10**6 atoms (compress at 0.95 GB) and runs out of memory at 6*10**6.
+# Atoms that single_full_generator and restrict_relation build one by one, and that cli
+# lists from an arc.  Under a 1.5 GB address-space limit a single-gen process peaks at about
+# 1.1 GB on 4*10**6 atoms (compress, listing its arc, at 0.77 GB) and fails at 6*10**6.
 MAX_DERIVED_ATOMS = 4_000_000
 # Largest edge budget brute_force_min_cost accepts: the pair universe of one class of
 # 8 atoms, which scans in about 2 s.  Each further atom costs about 20 times more.
@@ -124,8 +124,8 @@ def parse_rational(text) -> Fraction:
     if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
         raise FormatError(f"cannot read {text!r} as an exact ratio: its decimal exponent "
                           f"passes {MAX_DECIMAL_EXPONENT} in size")
-    try:
-        return Fraction(raw)
+    try:  # as 3.12's Fraction reads it: 3.10 refuses "1_000", and 3.11 refuses "1 / 2"
+        return Fraction(re.sub(r"\s*/\s*", "/", re.sub(r"(?<=\d)_(?=\d)", "", raw)))
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"cannot read {text!r} as an exact ratio") from None
 
@@ -679,9 +679,9 @@ def restrict_relation(r: Relation, a: Subset) -> Relation:
 def compression_sides(r: Relation, a: Subset) -> tuple[Fraction, Fraction]:
     """Both sides of the finite compression identity for a subset meeting every class.
 
-    lhs is min_cost of the re-indexed trace minus one; rhs is the weight of a
-    times (min_cost(r) - 1).  On a finite space lhs <= rhs, with equality
-    exactly when a is the whole space.
+    lhs is min_cost of the re-indexed trace minus one, -c/|a|, as the trace has the c
+    classes of r on |a| atoms; rhs is the weight of a times (min_cost(r) - 1).  On a
+    finite space lhs <= rhs, with equality exactly when a is the whole space.
     """
     if r.space != a.space:
         raise ModelError("relation and subset live on different spaces")
@@ -691,7 +691,7 @@ def compression_sides(r: Relation, a: Subset) -> tuple[Fraction, Fraction]:
     if len(reps_met) != classes:
         missed = next(x for x, rep in enumerate(base) if x == rep and x not in reps_met)
         raise ModelError(f"subset misses the class of atom {missed}")
-    lhs = min_cost(restrict_relation(r, a)) - 1
+    lhs = Fraction(-classes, len(a.members))
     rhs = a.measure * (r.space.measure(r.space.n - classes) - 1)
     return lhs, rhs
 

@@ -1,6 +1,8 @@
 """File schemas: round trips, shorthand expansion, diagnostics."""
 import io
 import json
+import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -62,6 +64,50 @@ def test_rational_parsing():
         parse_rational("seven")
     with pytest.raises(FormatError):
         parse_rational("1/0")
+
+
+def test_rational_digit_groups_read_alike_on_every_python():
+    # 3.12's rule: one underscore between two digits, in any digit run; spaces beside "/"
+    assert parse_rational("2.5E+0_03") == 2500
+    assert parse_rational(" 1_000 / 3_0 ") == Fraction(100, 3)
+    assert parse_rational("0.1_25e-0_1") == Fraction(1, 80)
+    for text in ("1__0", "_1", "1_", "1_.5", "1._5", "1e_3", "1/_2", "1_ /2", "1 / /2", "/ 2"):
+        with pytest.raises(FormatError, match=r"^cannot read .* as an exact ratio$"):
+            parse_rational(text)
+
+
+def fraction_as_in_3_12(text):
+    """Oracle: Fraction(text) as 3.12 and later read it; 3.11 refuses a space beside "/"."""
+    if sys.version_info < (3, 12):
+        text = re.sub(r"\s*/\s*", "/", text)
+    return Fraction(text)
+
+
+RATIONAL_PIECES = st.sampled_from(["0", "1", "7", "25", "1_0", "_", "__", ".", "/", "e", "E",
+                                   "+", "-", " "])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's Fraction refuses every underscore")
+@settings(max_examples=1000)
+@given(st.one_of(st.text(alphabet="0123456789_./eE+- ", max_size=10),
+                 st.lists(RATIONAL_PIECES, max_size=8).map("".join)))
+@example("2.5E+0_03")
+@example("1 / 2")
+@example("1e1_0001")
+def test_rational_parsing_matches_fraction(text):
+    try:
+        got = parse_rational(text)
+    except FormatError as e:
+        if str(e).endswith(f"passes {MAX_DECIMAL_EXPONENT} in size"):
+            exponent = re.search(r"[eE][-+]?([\d_]+)$", text.strip())[1]
+            assert int(exponent.replace("_", "")) > MAX_DECIMAL_EXPONENT
+            return  # Fraction would build 10**exponent
+        got = None
+    try:
+        expected = fraction_as_in_3_12(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    assert got == expected
 
 
 def test_rational_exponent_bound():

@@ -15,6 +15,7 @@ from orbitcost import (
     NotInSameCycleError,
     PartialMap,
     Relation,
+    ShiftMapping,
     Subset,
     brute_force_min_cost,
     compression_sides,
@@ -440,33 +441,47 @@ def relations(draw, max_n=40):
 
 
 @st.composite
-def periodic_relations(draw, max_p=8, max_copies=4):
+def periodic_relations(draw, max_p=8, max_copies=4, min_copies=1):
     p = draw(st.integers(1, max_p))
     labels = draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
     first: dict[int, int] = {}
     base = [first.setdefault(lab, x) for x, lab in enumerate(labels)]
-    return Relation.periodic(FiniteSpace(p * draw(st.integers(1, max_copies))), base)
+    return Relation.periodic(FiniteSpace(p * draw(st.integers(min_copies, max_copies))), base)
 
 
 @st.composite
 def graphings(draw, max_n=25, max_maps=3):
+    """Each map a dict drawn from a permutation, or a shift view on a full or partial arc."""
     n = draw(st.integers(1, max_n))
     space = FiniteSpace(n)
+    atoms = st.integers(0, n - 1)
     maps = []
     for j in range(draw(st.integers(0, max_maps))):
-        perm = draw(st.permutations(list(range(n))))
-        dom = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        maps.append(PartialMap(f"m{j}", space, {x: perm[x] for x in dom}))
+        if draw(st.booleans()):  # any step, so gcd(step, n) > 1 comes up often
+            length = draw(st.one_of(st.just(n), st.integers(0, n)))
+            mapping = ShiftMapping(n, draw(atoms), draw(atoms), length)
+        else:
+            perm = draw(st.permutations(list(range(n))))
+            mapping = {x: perm[x] for x in draw(st.lists(atoms, unique=True, max_size=n))}
+        maps.append(PartialMap(f"m{j}", space, mapping))
     return Graphing(space, maps)
+
+
+@st.composite
+def meeting_subsets(draw, r):
+    """A subset of r's atoms meeting every class; the whole space about one draw in five."""
+    if draw(st.integers(0, 4)) == 0:
+        return Subset(r.space, frozenset(range(r.space.n)))
+    members: set[int] = set()
+    for group in r.classes():
+        members.update(draw(st.lists(st.sampled_from(group), min_size=1, unique=True)))
+    return Subset(r.space, frozenset(members))
 
 
 @st.composite
 def relations_with_meeting_subset(draw):
     r = draw(relations(max_n=25))
-    members: set[int] = set()
-    for group in r.classes():
-        members.update(draw(st.lists(st.sampled_from(group), min_size=1, unique=True)))
-    return r, Subset(r.space, frozenset(members))
+    return r, draw(meeting_subsets(r))
 
 
 @given(relations())
@@ -572,6 +587,32 @@ def test_compression_inequality(pair):
     lhs, rhs = compression_sides(r, a)
     assert lhs <= rhs
     assert (lhs == rhs) == (len(a.members) == r.space.n)
+
+
+def compression_lhs_by_restriction(r, a):
+    """Oracle: the re-indexed trace of r on a, built atom by atom, then its min_cost minus one."""
+    return min_cost(restrict_relation(r, a)) - 1
+
+
+@settings(max_examples=200)
+@given(st.one_of(relations(max_n=25), periodic_relations(min_copies=2)), st.data())
+def test_compression_lhs_matches_the_restricted_relation(r, data):
+    a = data.draw(meeting_subsets(r))
+    lhs, rhs = compression_sides(r, a)
+    assert lhs == compression_lhs_by_restriction(r, a)
+    assert rhs == a.measure * (min_cost(r) - 1)
+
+
+@settings(max_examples=100)
+@given(st.one_of(relations(max_n=25), periodic_relations(min_copies=2)), st.data())
+def test_compression_names_the_least_missed_class(r, data):
+    a = Subset(r.space, frozenset(data.draw(st.lists(st.integers(0, r.space.n - 1)))))
+    missed = [group[0] for group in r.classes() if not a.members.intersection(group)]
+    if not missed:
+        assert compression_sides(r, a)[0] == compression_lhs_by_restriction(r, a)
+        return
+    with pytest.raises(ModelError, match=f"^subset misses the class of atom {missed[0]}$"):
+        compression_sides(r, a)
 
 
 @settings(max_examples=40)
