@@ -1,9 +1,8 @@
 """Command line front end.
 
 Each command returns its fields as exact values; main adds the command name
-and render writes the report in text or JSON.  For a fixed seed every
-invocation is byte-identical.  Exit codes: 0 on success, 1 when the inputs break a domain
-rule, 2 on usage errors.
+and render writes the report in text or JSON, the same bytes on every run.
+Exit codes: 0 on success, 1 when the inputs break a domain rule, 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -66,7 +65,6 @@ def _arc_text(text: str) -> relcore.Arc:
     return relcore.Arc(start, length)
 
 
-_u64 = _flag(lambda text: files._as_seed(int(text)), "seed must be an integer, got %r")
 _positive = _flag(_positive_int, "expected an integer, got %r")
 _factors = _flag(lambda text: tuple(_ints(text)),
                  "factors are a comma-separated order list, got %r")
@@ -92,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
-    common.add_argument("--seed", type=_u64, default=None, metavar="N",
-                        help="64-bit master seed (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="orbitcost",
@@ -161,10 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=_positive, required=True)
 
     p = add("rank-gradient", cmd_rank_gradient, "(rank-1)/index table, by Schreier's formula")
-    p.add_argument("schreier", nargs="?", help="optional JSON file with factors/indices/seed")
+    p.add_argument("schreier", nargs="?", help="optional JSON file with factors/indices")
     p.add_argument("--factors", type=_factors, metavar="LIST")
     p.add_argument("--indices", type=_indices, metavar="SPEC")
-    p.add_argument("--samples", type=_positive, default=1)
 
     p = add("compress-check", cmd_compress_check, "rank-1 against index*beta1")
     p.add_argument("--factors", type=_factors, required=True, metavar="LIST")
@@ -331,7 +326,7 @@ def cmd_rank_gradient(ns) -> dict:
         raise relcore.ModelError("give factors and indices, by file or by flag")
     spec = GroupSpec(factors)
     beta1 = group_invariants(spec).beta1
-    rows = rank_gradient(spec, indices, samples=ns.samples)
+    rows = rank_gradient(spec, indices)
     return {"factors": ",".join(str(m) for m in spec.factor_orders),
             "beta1": beta1,
             "rows": [{"index": row.index, "rank": row.rank,

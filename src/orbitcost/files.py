@@ -63,13 +63,6 @@ def _as_int(value, what: str) -> int:
     return value
 
 
-def _as_seed(value) -> int:
-    """A master seed, from --seed or a Schreier file: an integer in [0, 2**64)."""
-    if not 0 <= _as_int(value, "seed") < 1 << 64:
-        raise ModelError("seed must fit in 64 unsigned bits")
-    return value
-
-
 def _expect(doc: dict, key: str, what: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ModelError(f"missing {key!r} ({what})")
@@ -194,13 +187,13 @@ def dump_relation(r: Relation) -> dict:
 
 
 class SchreierDoc(_Record):
-    """A parsed group-spec file: factor orders, indices and an optional seed."""
+    """A parsed group-spec file: factor orders and indices."""
 
-    _fields = ("factors", "indices", "seed")
+    _fields = ("factors", "indices")
 
 
 def load_schreier(path: str) -> SchreierDoc:
-    """Read {"factors": [...], "indices": [...], "seed": ...}."""
+    """Read {"factors": [...], "indices": [...]}; other keys are ignored."""
     return _load(path, _build_schreier)
 
 
@@ -213,8 +206,7 @@ def _build_schreier(doc) -> SchreierDoc:
     if not isinstance(raw_indices, list):
         raise ModelError("indices must be a list of integers")
     indices = [_as_int(i, "index") for i in raw_indices]
-    seed = _as_seed(doc["seed"]) if "seed" in doc else None
-    return SchreierDoc(factors, indices, seed)
+    return SchreierDoc(factors, indices)
 
 
 class RotationDoc(_Record):

@@ -36,7 +36,9 @@ class FormatError(ModelError):
 # 10**exponent exactly, in time that grows faster than linearly (a hang past
 # about 10**6), while anything past 4300 digits cannot be printed anyway.
 MAX_DECIMAL_EXPONENT = 10_000
-MAX_RELATION_ATOMS = 10_000_000  # n that Relation.from_classes lists atom by atom
+# Atoms that Relation.from_classes lists, and that a union-find (on the quotient's p in
+# _quotient, on n in reduce_to_treeing) or spanning_treeing's per-atom chain holds.
+MAX_RELATION_ATOMS = 10_000_000
 # Atoms that single_full_generator and restrict_relation build one by one, and that cli
 # lists from an arc.  Under a 1.5 GB address-space limit a single-gen process peaks at about
 # 1.1 GB on 4*10**6 atoms (compress, listing its arc, at 0.77 GB) and fails at 6*10**6.
@@ -473,6 +475,13 @@ def _merged(intervals: list[list[int]]) -> list[list[int]]:
     return runs
 
 
+def _check_atom_count(count: int):
+    """Refuse a union-find or per-atom list past MAX_RELATION_ATOMS before it is allocated."""
+    if count > MAX_RELATION_ATOMS:
+        raise ModelError(f"a union-find or per-atom list holds at most {MAX_RELATION_ATOMS} "
+                         f"atoms, got {count}")
+
+
 def _quotient(g: Graphing) -> UnionFind:
     """Union-find on Z/p whose classes are those of the relation g generates.
 
@@ -486,6 +495,7 @@ def _quotient(g: Graphing) -> UnionFind:
     n = g.space.n
     maps = [m.mapping for m in g.maps]
     p = math.gcd(n, *(m.step for m in maps if isinstance(m, ShiftMapping) and m.arc.length == n))
+    _check_atom_count(p)
     uf = UnionFind(p)
     for m in maps:
         if not isinstance(m, ShiftMapping):
@@ -537,6 +547,7 @@ def spanning_treeing(r: Relation) -> Graphing:
     which keeps the map injective and its entries spanning paths.  The result
     generates r at cost (n - c)/n exactly.
     """
+    _check_atom_count(r.space.n)
     last: dict[int, int] = {}
     mapping: dict[int, int] = {}
     for x, rep in enumerate(r.parent):
@@ -553,6 +564,7 @@ def reduce_to_treeing(g: Graphing) -> Graphing:
     when it joins two still-separate components.  The survivors generate the
     same relation at its minimal cost; a treeing passes through unchanged.
     """
+    _check_atom_count(g.space.n)
     uf = UnionFind(g.space.n)
     kept_maps = []
     for m in g.maps:

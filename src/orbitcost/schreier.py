@@ -21,7 +21,7 @@ from .relcore import ModelError, _Frozen, _Record, _set
 MAX_ATTEMPTS = 10_000
 MAX_SAMPLER_COSETS = 2_000_000  # index times factors, checked before any coset list is built
 MAX_SAMPLER_DRAWS = 40_000_000  # cosets drawn per call over all attempts; bounds its time
-MAX_GRADIENT_ROWS = 10_000  # indices times samples per rank_gradient call, checked before any row
+MAX_GRADIENT_ROWS = 10_000  # indices per rank_gradient call, checked before any row
 
 _SHUFFLE_CHUNK = 4096  # 32-bit words fetched per getrandbits call
 _WORD = next(code for code in "IL" if array(code).itemsize == 4)
@@ -298,27 +298,23 @@ class GradientRow(_Frozen):
     __slots__ = _fields = ("index", "rank", "gradient", "matches_beta1")
 
 
-def rank_gradient(spec: GroupSpec, indices, seed: int = 0, samples: int = 1) -> list[GradientRow]:
-    """(rank - 1)/index by _rank at each index _require_action admits, samples rows each.
+def rank_gradient(spec: GroupSpec, indices, seed: int = 0) -> list[GradientRow]:
+    """(rank - 1)/index by _rank at each index _require_action admits, one row each.
 
-    Nothing is drawn, so seed is not read and the rows of one index are
-    equal; each matches the first Betti value.  An empty index list is an
-    error, not an empty table.  At most MAX_GRADIENT_ROWS + 1 indices are
-    read from any iterable.
+    Nothing is drawn, so seed is not read; each row matches the first Betti
+    value.  An empty index list is an error, not an empty table.  At most
+    MAX_GRADIENT_ROWS + 1 indices are read from any iterable.
     """
-    if samples < 1:
-        raise ModelError(f"samples must be positive, got {samples}")
     indices = list(itertools.islice(indices, MAX_GRADIENT_ROWS + 1))
-    if len(indices) * samples > MAX_GRADIENT_ROWS:
-        raise ModelError(
-            f"rank gradient samples at most {MAX_GRADIENT_ROWS} rows (indices times samples)")
+    if len(indices) > MAX_GRADIENT_ROWS:
+        raise ModelError(f"rank gradient takes at most {MAX_GRADIENT_ROWS} indices")
     beta1 = group_invariants(spec).beta1
     rows = []
     for index in indices:
         _require_action(spec, index)
         p = _rank(spec, index)
         grad = Fraction(p - 1, index)
-        rows += [GradientRow(index, p, grad, grad == beta1)] * samples
+        rows.append(GradientRow(index, p, grad, grad == beta1))
     if not rows:
         raise ModelError("rank gradient needs at least one index")
     return rows

@@ -249,9 +249,9 @@ def test_criterion_9_cli_byte_determinism(capsys, tmp_path):
         ["invariants", str(g)],
         ["eps-curve", str(rot)],
         ["rotation-demo", str(rot), "--x", "123"],
-        ["schreier-rank", "--factors", "2,3", "--index", "12", "--seed", "13"],
-        ["rank-gradient", "--factors", "2,2", "--indices", "2:12:2", "--seed", "13"],
-        ["coincidence", "--specs", "2,3;0,0", "--seed", "13"],
+        ["schreier-rank", "--factors", "2,3", "--index", "12"],
+        ["rank-gradient", "--factors", "2,2", "--indices", "2:12:2"],
+        ["coincidence", "--specs", "2,3;0,0"],
     ]
     for argv in invocations:
         for fmt in ("text", "json"):
@@ -266,5 +266,5 @@ def test_criterion_9_cli_byte_determinism(capsys, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "orbitcost"] + argv,
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == inner
-    print("\nPASS 9: every seeded CLI invocation is byte-identical across "
+    print("\nPASS 9: every CLI invocation is byte-identical across "
           "runs and across processes")

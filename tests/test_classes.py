@@ -75,8 +75,7 @@ MUTABLE = [
     (CostCurve, {"rows": [ROW], "infimum": Fraction(1)}, {"rows": [], "infimum": None}),
     (PermAction, {"spec": GroupSpec((0, 0)), "index": 2, "perms": [[1, 0], [0, 1]]},
      {"spec": GroupSpec((2, 0)), "perms": [[0, 1], [1, 0]]}),
-    (SchreierDoc, {"factors": (2, 3), "indices": [6], "seed": None},
-     {"factors": (0,), "indices": [], "seed": 7}),
+    (SchreierDoc, {"factors": (2, 3), "indices": [6]}, {"factors": (0,), "indices": []}),
     (RotationDoc, {"system": SYSTEM, "full": "a", "eps": [Fraction(1, 2)], "arc": Arc(0, 1)},
      {"system": RotationSystem(5, {"a": 1}), "full": None, "eps": [], "arc": None}),
 ]

@@ -141,14 +141,12 @@ def test_invariants(capsys, graphing_file):
 
 
 def test_schreier_rank(capsys):
-    report = run_json(capsys, ["schreier-rank", "--factors", "2,3",
-                               "--index", "6", "--seed", "42"])
+    report = run_json(capsys, ["schreier-rank", "--factors", "2,3", "--index", "6"])
     assert report["rank"] == 2
 
 
 def test_rank_gradient_inline(capsys):
-    report = run_json(capsys, ["rank-gradient", "--factors", "2,3",
-                               "--indices", "6:36:6", "--seed", "1"])
+    report = run_json(capsys, ["rank-gradient", "--factors", "2,3", "--indices", "6:36:6"])
     assert len(report["rows"]) == 6
     assert {row["gradient"] for row in report["rows"]} == {"1/6"}
     assert report["all_match"] is True
@@ -168,7 +166,7 @@ def test_compress_check(capsys):
 
 
 def test_coincidence(capsys):
-    report = run_json(capsys, ["coincidence", "--specs", "2,3;0,0;2,2", "--seed", "2"])
+    report = run_json(capsys, ["coincidence", "--specs", "2,3;0,0;2,2"])
     rows = {row["factors"]: row for row in report["rows"]}
     assert rows["2,3"]["measured_cost"] == "7/6"
     assert rows["2,3"]["modeled_costs"] == "1/2,2/3"
@@ -240,8 +238,8 @@ def test_text_and_json_are_both_deterministic(capsys, graphing_file, rotation_fi
     invocations = [
         ["cost", graphing_file],
         ["eps-curve", rotation_file],
-        ["rank-gradient", "--factors", "2,3", "--indices", "6:24:6", "--seed", "5"],
-        ["coincidence", "--specs", "2,3;0,0", "--seed", "3"],
+        ["rank-gradient", "--factors", "2,3", "--indices", "6:24:6"],
+        ["coincidence", "--specs", "2,3;0,0"],
     ]
     for argv in invocations:
         for fmt in ("text", "json"):
@@ -258,9 +256,15 @@ def write_large_relation(tmp_path) -> str:
     return str(path)
 
 
+# the child's stdout is a buffered writer without the variable and the raw file with it
+BUFFERING_ENVS = {
+    "buffered": {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "unbuffered": {**os.environ, "PYTHONUNBUFFERED": "1"},
+}
+
+
 @pytest.mark.parametrize("argv, code", [
-    (["rank-gradient", "--factors", "2,3", "--indices", "6:24:6", "--seed", "7",
-      "--format", "json"], 0),
+    (["rank-gradient", "--factors", "2,3", "--indices", "6:24:6", "--format", "json"], 0),
     # far past a pipe buffer: the process must flush all of it before it exits
     (["single-gen", "{large}", "--format", "json"], 0),
     (["min-cost", "{missing}"], 1),
@@ -270,17 +274,11 @@ def test_subprocess_matches_in_process(capsys, tmp_path, argv, code):
     argv = [a.format(large=large, missing=tmp_path / "no.json") for a in argv]
     assert main(argv) == code
     inner = capsys.readouterr()
-    proc = subprocess.run([sys.executable, "-m", "orbitcost"] + argv,
-                          capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, inner.out, inner.err)
-    assert code == 0 or proc.stderr == f"error: {tmp_path / 'no.json'}: No such file or directory\n"
-
-
-# the child's stdout is a buffered writer without the variable and the raw file with it
-BUFFERING_ENVS = {
-    "buffered": {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-    "unbuffered": {**os.environ, "PYTHONUNBUFFERED": "1"},
-}
+    for env in BUFFERING_ENVS.values():
+        proc = subprocess.run([sys.executable, "-m", "orbitcost"] + argv,
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, inner.out, inner.err)
+    assert code == 0 or inner.err == f"error: {tmp_path / 'no.json'}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("verb", ["min-cost", "single-gen"])
@@ -357,7 +355,7 @@ def test_garbage_cycles_of_a_command_do_not_grow_with_its_input(capsys, golden_f
 # Exact reports pinned from the previous release, so a byte change between
 # versions fails here and not only between two runs of the same code.
 GOLDEN_STDOUT = [
-    (["coincidence", "--specs", "2,3;0,0;2,2", "--seed", "2"], """\
+    (["coincidence", "--specs", "2,3;0,0;2,2"], """\
 command: coincidence
 rows:
   factors  rank  predicted_cost  beta1  index  measured_cost  factor_costs  modeled_costs  match
@@ -396,7 +394,7 @@ all_match: true
   ]
 }
 """),
-    (["rank-gradient", "--factors", "2,3", "--indices", "6:18:6", "--seed", "5"], """\
+    (["rank-gradient", "--factors", "2,3", "--indices", "6:18:6"], """\
 command: rank-gradient
 factors: 2,3
 beta1: 1/6
@@ -407,7 +405,7 @@ rows:
   18     4     1/6       1/6    true
 all_match: true
 """),
-    (["schreier-rank", "--factors", "0,0,2", "--index", "8", "--seed", "11"], """\
+    (["schreier-rank", "--factors", "0,0,2", "--index", "8"], """\
 command: schreier-rank
 factors: 0,0,2
 index: 8
@@ -564,7 +562,7 @@ segments:
   step  power  count
   b     1      1
 """),
-    (["compress-check", "--factors", "2,3", "--index", "6", "--seed", "1"], """\
+    (["compress-check", "--factors", "2,3", "--index", "6"], """\
 command: compress-check
 lhs: 1
 rhs: 1
@@ -773,7 +771,7 @@ all_match: true
   "reduced_cost": "1/2"
 }
 """),
-    (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", "4", "--format", "json"], """\
+    (["schreier-rank", "--factors", "2,3", "--index", "6", "--format", "json"], """\
 {
   "command": "schreier-rank",
   "factors": "2,3",
@@ -846,6 +844,41 @@ def test_golden_stdout(capsys, golden_files, argv, expected):
     code = main([a.format(**golden_files) for a in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, expected, "")
+
+
+class ReadRecorder:
+    """A parsed namespace that notes the name of every attribute a command reads."""
+
+    def __init__(self, ns, reads: set):
+        self._values = vars(ns)
+        self._reads = reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return self._values[name]
+
+
+def test_every_flag_of_every_verb_is_read(capsys, golden_files, monkeypatch):
+    # a flag that no golden case reads is parsed, checked and then dropped: it cannot
+    # change what its verb prints
+    parse = cli.build_parser
+    reads = {}
+
+    def recording_parser():
+        parser = parse()
+        parse_args = parser.parse_args
+        parser.parse_args = lambda argv: ReadRecorder(parse_args(argv),
+                                                      reads.setdefault(argv[0], set()))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    for argv, expected in GOLDEN_STDOUT:
+        assert main([a.format(**golden_files) for a in argv]) == 0
+        assert capsys.readouterr().out == expected
+    (verbs,) = [a for a in parse()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {verb: {a.dest for a in p._actions} - {"help"} for verb, p in verbs.choices.items()}
+    unread = {verb: dests[verb] - reads.get(verb, set()) for verb in dests}
+    assert unread == dict.fromkeys(dests, set())
 
 
 SCHREIER_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT
@@ -944,7 +977,7 @@ ROTATION_AB = {"n": 10, "steps": {"a": 1, "b": 3}}
                  id="cost-long-int"),
     pytest.param(["min-cost"], LONG_INT_RELATION, "{path}: an integer literal passes 4300 digits",
                  id="min-cost-long-int"),
-    # eps must be a list, not anything iterable; a file seed obeys the --seed rule
+    # eps must be a list, not anything iterable
     pytest.param(["eps-curve"], {**ROTATION_AB, "full": "a", "eps": 5},
                  "{path}: eps must be a list of ratios", id="eps-int"),
     pytest.param(["eps-curve"], {**ROTATION_AB, "full": "a", "eps": None},
@@ -953,10 +986,6 @@ ROTATION_AB = {"n": 10, "steps": {"a": 1, "b": 3}}
                  "{path}: eps must be a list of ratios", id="eps-string"),
     pytest.param(["eps-curve"], {**ROTATION_AB, "full": "a", "eps": {"1/2": 0}},
                  "{path}: eps must be a list of ratios", id="eps-object"),
-    pytest.param(["rank-gradient"], {"factors": [2, 3], "indices": [6], "seed": -5},
-                 "{path}: seed must fit in 64 unsigned bits", id="seed-negative"),
-    pytest.param(["rank-gradient"], {"factors": [2, 3], "indices": [6], "seed": 2**64 + 5},
-                 "{path}: seed must fit in 64 unsigned bits", id="seed-past-64-bits"),
     # the pairs reach the map as they are read, so a duplicate source is found first
     pytest.param(["cost"],
                  {"space": {"n": 3}, "maps": [{"name": "a", "pairs": [[0, 1], [0, 2], [1]]}]},
@@ -1002,8 +1031,9 @@ ONE_CLASS = {"n": 4, "classes": [[0, 1]]}
     (["compress", "{path}"], ONE_CLASS, 1, "error: give exactly one of --members or --arc"),
     (["compress", "{path}", "--members", "0", "--arc", "0:1"], ONE_CLASS, 1,
      "error: give exactly one of --members or --arc"),
-    (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", "x"], None, 2,
-     "orbitcost schreier-rank: error: argument --seed: seed must be an integer, got 'x'"),
+    # the verbs draw nothing, so no verb takes a --seed and rank-gradient no --samples
+    (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", "5"], None, 2,
+     "orbitcost: error: unrecognized arguments: --seed 5"),
     (["brute-min", "{path}", "--edge-budget", "0"], ONE_CLASS, 2,
      "orbitcost brute-min: error: argument --edge-budget: value must be positive"),
     (["schreier-rank", "--factors", "2,x", "--index", "6"], None, 2,
@@ -1015,17 +1045,18 @@ ONE_CLASS = {"n": 4, "classes": [[0, 1]]}
     (["coincidence", "--specs", "2,x"], None, 2,
      "orbitcost coincidence: error: argument --specs: "
      "specs are semicolon-separated factor lists, got '2,x'"),
-    (["schreier-rank", "--factors", "2,3", "--index", "6", "--seed", str(2**64 + 5)], None, 2,
-     "orbitcost schreier-rank: error: argument --seed: seed must fit in 64 unsigned bits"),
+    (["min-cost", "{path}", "--seed", "5"], ONE_CLASS, 2,
+     "orbitcost: error: unrecognized arguments: --seed 5"),
     # the usage surface of every flag converter, pinned line by line
     (["schreier-rank", "--factors", "2,3", "--index", "x"], None, 2,
      "orbitcost schreier-rank: error: argument --index: expected an integer, got 'x'"),
     (["compress-check", "--factors", "2,3", "--index", "0"], None, 2,
      "orbitcost compress-check: error: argument --index: value must be positive"),
-    (["rank-gradient", "--factors", "2,3", "--indices", "6", "--samples", "1.5"], None, 2,
-     "orbitcost rank-gradient: error: argument --samples: expected an integer, got '1.5'"),
-    (["rank-gradient", "--factors", "2,3", "--indices", "6", "--samples", "-1"], None, 2,
-     "orbitcost rank-gradient: error: argument --samples: value must be positive"),
+    # the 2 is read as the optional schreier file, so only the flag is left over
+    (["rank-gradient", "--factors", "2,3", "--indices", "6", "--samples", "2"], None, 2,
+     "orbitcost: error: unrecognized arguments: --samples"),
+    (["rank-gradient", "{path}", "--samples", "2"], {"factors": [2, 3], "indices": [6]}, 2,
+     "orbitcost: error: unrecognized arguments: --samples 2"),
     (["coincidence", "--specs", "2,3", "--max-index", "ten"], None, 2,
      "orbitcost coincidence: error: argument --max-index: expected an integer, got 'ten'"),
     (["coincidence", "--specs", "2,3", "--max-index", "0"], None, 2,
@@ -1067,8 +1098,8 @@ def test_cli_error_lines(capsys, tmp_path, argv, doc, code, line):
 
 GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
 if sys.version_info >= (3, 13):
-    # argparse 3.13 counts the subcommand indent in the help column and keeps an option
-    # with its metavar when it wraps usage; these two texts are its layout, the rest is alike
+    # argparse 3.13 counts the subcommand indent in the help column, so the top-level
+    # text has its own layout; every verb's text is alike
     GOLDEN_HELP.update(json.loads((Path(__file__).parent / "golden_help_3.13.json").read_text()))
 
 
@@ -1120,6 +1151,18 @@ def test_lone_torsion_factor_at_another_index_is_one_error_line(capsys):
                                  "a lone order-2 factor acts transitively only at index 2"])
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64 + 5], ids=["seed-negative", "seed-past-64-bits"])
+def test_a_schreier_file_seed_is_ignored(capsys, tmp_path, seed):
+    # the table draws nothing, so a file's "seed" is one more unknown key, whatever its value
+    path = tmp_path / "s.json"
+    outputs = []
+    for extra in ({}, {"seed": seed}):
+        path.write_text(json.dumps({"factors": [2, 3], "indices": [6, 12], **extra}))
+        outputs.append(run(capsys, ["rank-gradient", str(path)]))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 def test_rank_gradient_rejects_empty_indices(capsys, tmp_path):
     code, lines = run_error(capsys, ["rank-gradient", "--factors", "2,3", "--indices", "6:3"])
     assert (code, lines) == (1, ["error: rank gradient needs at least one index"])
@@ -1149,8 +1192,11 @@ TRILLION_VIEWS = {"space": {"n": 10**12}, "maps": [
 TRILLION_ROTATION = {"n": 10**12, "steps": {"a": 4, "b": 6, "c": 357913}, "full": "a",
                      "eps": ["1/10", "3/1000000000000"]}
 TRILLION_RELATION = {"n": 10**12, "classes": []}
+TRILLION_PAIRS = {"space": {"n": 10**12}, "maps": [{"name": "a", "pairs": [[0, 1]]}]}
 RELATION_CAP_LINE = (f"error: {{relation}}: a relation read from classes has at most "
                      f"{relcore.MAX_RELATION_ATOMS} atoms, got n=1000000000000\n")
+UNION_FIND_CAP_LINE = (f"error: a union-find or per-atom list holds at most "
+                       f"{relcore.MAX_RELATION_ATOMS} atoms, got 1000000000000\n")
 
 
 TRILLION_ROWS = [
@@ -1172,23 +1218,31 @@ TRILLION_ROWS = [
     (["single-gen", "{relation}"], 1, RELATION_CAP_LINE),
     (["compress", "{relation}", "--members", "0,1"], 1, RELATION_CAP_LINE),
     (["brute-min", "{relation}"], 1, RELATION_CAP_LINE),
+    # a dict graphing has no full view, so its quotient is all n atoms
+    (["treeing", "{pairs}"], 1, UNION_FIND_CAP_LINE),
+    (["invariants", "{views}"], 1, UNION_FIND_CAP_LINE),
+    (["reduce", "{views}"], 1, UNION_FIND_CAP_LINE),
 ]
 
 
 @pytest.mark.parametrize("argv, code, expected", TRILLION_ROWS,
-                         ids=[argv[0] for argv, _, _ in TRILLION_ROWS])
+                         ids=[argv[0] + ("-pairs" if "{pairs}" in argv else "")
+                              for argv, _, _ in TRILLION_ROWS])
 def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, code, expected):
     """Each verb that reads n at n = 10**12 answers (exit 0) or is one error line (exit 1).
 
     Each row runs as one child under the memory and time limits of run_capped.  The
     views and the rotation answer from their arcs and a Z/p quotient with p | 4, never
-    from n entries; a relation file is refused before its atoms are listed.  Rows still
-    missing: first-return walks every orbit step (ROADMAP item 3), and invariants and
-    reduce build n entries (item 4; reduce also needs item 9's cap on output pairs).
+    from n entries; a relation file is refused before its atoms are listed, and a
+    union-find on more than MAX_RELATION_ATOMS atoms (the dict graphing's quotient,
+    and reduce's n in reduce and invariants) before it is allocated.  Row still
+    missing: first-return walks every orbit step (ROADMAP item 3).  invariants and
+    reduce answer on the views once they work on the quotient (item 4), and reduce
+    then needs item 9's cap on output pairs.
     """
     paths = {}
     for name, doc in (("views", TRILLION_VIEWS), ("rotation", TRILLION_ROTATION),
-                      ("relation", TRILLION_RELATION)):
+                      ("relation", TRILLION_RELATION), ("pairs", TRILLION_PAIRS)):
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(doc))
     expected = expected.format(**paths)
@@ -1206,11 +1260,11 @@ def test_index_range_past_the_row_cap_is_one_error_line():
     # the range is never listed: its length is read from a slice of at most cap + 1 entries;
     # each runs in a child with a memory and a time limit, so a lost cap fails, not hangs
     assert isinstance(cli._indices("1:100000000000:1"), range)
-    message = (f"error: rank gradient samples at most {schreier.MAX_GRADIENT_ROWS} rows "
-               "(indices times samples)\n")
-    for flags in (["--indices", "1:100000000000:1"], ["--indices", "1:" + "9" * 40],
-                  ["--indices", "6,12", "--samples", str(schreier.MAX_GRADIENT_ROWS)]):
-        assert run_capped(["rank-gradient", "--factors", "0,0", *flags]) == (1, "", message)
+    message = f"error: rank gradient takes at most {schreier.MAX_GRADIENT_ROWS} indices\n"
+    for spec in ("1:100000000000:1", "1:" + "9" * 40,
+                 ",".join(["6"] * (schreier.MAX_GRADIENT_ROWS + 1))):
+        assert run_capped(["rank-gradient", "--factors", "0,0", "--indices", spec]) == (
+            1, "", message)
 
 
 def test_rank_gradient_reports_a_bad_factor_before_the_row_cap():

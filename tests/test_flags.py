@@ -9,19 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitcost import cli, files
-from orbitcost.relcore import Arc, FormatError, ModelError
-
-
-def _u64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    try:
-        return files._as_seed(value)
-    except ModelError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+from orbitcost import cli
+from orbitcost.relcore import Arc, FormatError
 
 
 def _positive(text: str) -> int:
@@ -91,7 +80,7 @@ def _reported(parse):
     return convert
 
 
-ORACLE = {"_u64": _u64, "_positive": _positive, "_factors": _factors, "_indices": _indices,
+ORACLE = {"_positive": _positive, "_factors": _factors, "_indices": _indices,
           "_specs": _specs, "_members": _reported(parse_members), "_arc": _reported(parse_arc)}
 
 
