@@ -87,17 +87,15 @@ def _subset(space: relcore.FiniteSpace, ns) -> relcore.Subset:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default text)")
-
     parser = argparse.ArgumentParser(
         prog="orbitcost",
         description="exact cost calculus for finite orbit equivalence relations")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, func, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="report format (default text)")
         p.set_defaults(func=func)
         return p
 
@@ -286,11 +284,13 @@ def cmd_invariants(ns) -> dict:
     reduced = relcore.reduce_to_treeing(g)
     reduced_cost = relcore.cost(reduced)
     spanning = relcore.spanning_treeing(r)
+    reduced_r = relcore.generated_relation(reduced)
     checks = {
         "cost_ge_nu": total >= nu,
         "nu_ge_min_cost": nu >= floor,
-        "reduced_is_treeing": relcore.is_treeing(reduced),
-        "reduced_generates": relcore.generates(reduced, r),
+        # a forest's edges number n - classes: a treeing's cost is its relation's min_cost
+        "reduced_is_treeing": reduced_cost == relcore.min_cost(reduced_r),
+        "reduced_generates": reduced_r == r,
         "reduced_cost_is_min": reduced_cost == floor,
         "spanning_cost_is_min": relcore.cost(spanning) == floor,
         "transversal_identity": floor == 1 - relcore.transversal(r).measure,

@@ -36,8 +36,9 @@ class FormatError(ModelError):
 # 10**exponent exactly, in time that grows faster than linearly (a hang past
 # about 10**6), while anything past 4300 digits cannot be printed anyway.
 MAX_DECIMAL_EXPONENT = 10_000
-# Atoms that Relation.from_classes lists, and that a union-find (on the quotient's p in
-# _quotient, on n in reduce_to_treeing) or spanning_treeing's per-atom chain holds.
+# Atoms that Relation.from_classes lists, that a union-find (on the quotient's p in
+# _quotient, on n in reduce_to_treeing) or spanning_treeing's per-atom chain holds, and
+# that a cycle walk may visit: orbit_exponent and first_return_map walk up to n atoms.
 MAX_RELATION_ATOMS = 10_000_000
 # Atoms that single_full_generator and restrict_relation build one by one, and that cli
 # lists from an arc.  Under a 1.5 GB address-space limit a single-gen process peaks at about
@@ -110,8 +111,8 @@ def _built(cls, *values):
     """cls(*values) for a record, without the checks of its __init__.
 
     Only code that has just built values correct by construction may call this,
-    and only on Relation, PartialMap or PermAction, whose __init__ checks and
-    never normalises.  Values from outside the program take the constructor.
+    and only on Relation, PartialMap, Graphing or PermAction, whose __init__
+    checks and never normalises.  Values from outside the program take the constructor.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls._fields, values))
@@ -554,7 +555,7 @@ def spanning_treeing(r: Relation) -> Graphing:
         if rep in last:
             mapping[x] = last[rep]
         last[rep] = x
-    return Graphing(r.space, [_built(PartialMap, "forest", r.space, mapping)])
+    return _built(Graphing, r.space, [_built(PartialMap, "forest", r.space, mapping)])
 
 
 def reduce_to_treeing(g: Graphing) -> Graphing:
@@ -572,7 +573,7 @@ def reduce_to_treeing(g: Graphing) -> Graphing:
         targets = [m.mapping[x] for x in sources]
         kept = dict(compress(zip(sources, targets), uf.union_all(sources, targets)))
         kept_maps.append(_built(PartialMap, m.name, g.space, kept))
-    return Graphing(g.space, kept_maps)
+    return _built(Graphing, g.space, kept_maps)
 
 
 def single_full_generator(r: Relation) -> PartialMap:
@@ -603,6 +604,13 @@ def _require_atom(space: FiniteSpace, x: int):
         raise ModelError(f"atom {x} outside 0..{space.n - 1}")
 
 
+def _require_walk(space: FiniteSpace):
+    """Refuse a cycle walk, which may visit every atom, past MAX_RELATION_ATOMS atoms."""
+    if space.n > MAX_RELATION_ATOMS:
+        raise ModelError(f"a cycle walk visits at most {MAX_RELATION_ATOMS} atoms, "
+                         f"got n={space.n}")
+
+
 def orbit_exponent(psi: PartialMap, x: int, y: int) -> int:
     """Signed iterate count taking x to y along psi's cycle.
 
@@ -614,6 +622,7 @@ def orbit_exponent(psi: PartialMap, x: int, y: int) -> int:
     _require_atom(psi.space, y)
     if x == y:
         return 0
+    _require_walk(psi.space)
     forward = None
     length = 0
     z = x
@@ -641,6 +650,7 @@ def first_return_map(psi: PartialMap, a: Subset) -> PartialMap:
         raise ModelError("map and subset live on different spaces")
     if not a.members:
         raise ModelError("first return needs a nonempty subset")
+    _require_walk(psi.space)
     members = a.members
     step = psi.mapping
     mapping: dict[int, int] = {}
@@ -659,7 +669,7 @@ def restrict_map(g: Graphing, map_name: str, a: Subset) -> Graphing:
     m = g.map_named(map_name)
     kept = _built(PartialMap, m.name, g.space,
                   {x: y for x, y in m.mapping.items() if x in a.members})
-    return Graphing(g.space, [kept if other is m else other for other in g.maps])
+    return _built(Graphing, g.space, [kept if other is m else other for other in g.maps])
 
 
 def check_restriction_size(count: int):

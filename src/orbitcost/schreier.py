@@ -298,12 +298,12 @@ class GradientRow(_Frozen):
     __slots__ = _fields = ("index", "rank", "gradient", "matches_beta1")
 
 
-def rank_gradient(spec: GroupSpec, indices, seed: int = 0) -> list[GradientRow]:
+def rank_gradient(spec: GroupSpec, indices) -> list[GradientRow]:
     """(rank - 1)/index by _rank at each index _require_action admits, one row each.
 
-    Nothing is drawn, so seed is not read; each row matches the first Betti
-    value.  An empty index list is an error, not an empty table.  At most
-    MAX_GRADIENT_ROWS + 1 indices are read from any iterable.
+    Nothing is drawn, and each row matches the first Betti value.  An empty
+    index list is an error, not an empty table.  At most MAX_GRADIENT_ROWS + 1
+    indices are read from any iterable.
     """
     indices = list(itertools.islice(indices, MAX_GRADIENT_ROWS + 1))
     if len(indices) > MAX_GRADIENT_ROWS:
@@ -351,7 +351,6 @@ def coincidence_report(specs, max_index: int = 120, seed: int = 0) -> list[Coinc
             index = base
         else:
             index = max_index // base * base
-        _require_action(spec, index)
         measured = 1 + Fraction(_rank(spec, index) - 1, index)
         rows.append(CoincidenceRow(spec.factor_orders, inv.rank, inv.predicted_cost,
                                    inv.beta1, index, measured, inv.factor_costs,

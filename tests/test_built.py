@@ -1,11 +1,12 @@
 """Library builders store what they build unchecked; each result must pass its public constructor.
 
-The public constructors of Relation, PartialMap and PermAction check every
-value.  Library code that has just built such a value skips that check, so
-each builder's output is passed back through the constructor here: it must
-not raise, and the rebuilt object must have the same fields.
+The public constructors of Relation, PartialMap, Graphing and PermAction
+check every value.  Library code that has just built such a value skips that
+check, so each builder's output is passed back through the constructor here:
+it must not raise, and the rebuilt object must have the same fields.
 """
 import math
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from orbitcost import (
     epsilon_graphing,
     expected_relation,
     first_return_map,
+    full_graphing,
     generated_relation,
     reduce_to_treeing,
     restrict_map,
@@ -47,8 +49,17 @@ def assert_rebuilds(obj):
 
 
 def assert_graphing_rebuilds(g):
+    assert_rebuilds(g)
     for m in g.maps:
         assert_rebuilds(m)
+
+
+def unchecked(build, *args):
+    """build(*args) while the checking constructors of PartialMap and Graphing raise."""
+    def checked(self, *values):
+        raise AssertionError(f"{type(self).__name__} re-checked a value just built")
+    with patch.object(PartialMap, "__init__", checked), patch.object(Graphing, "__init__", checked):
+        return build(*args)
 
 
 @st.composite
@@ -97,7 +108,7 @@ def subsets(space, min_size=0):
 @given(relations())
 def test_relation_builders_rebuild(r):
     assert_rebuilds(r)
-    assert_graphing_rebuilds(spanning_treeing(r))
+    assert_graphing_rebuilds(unchecked(spanning_treeing, r))
     psi = single_full_generator(r)
     assert_rebuilds(psi)
     assert_rebuilds(psi.inverse())
@@ -111,10 +122,19 @@ def test_restrict_relation_rebuilds(r, data):
 @given(graphings(), st.data())
 def test_graphing_builders_rebuild(g, data):
     assert_rebuilds(generated_relation(g))
-    assert_graphing_rebuilds(reduce_to_treeing(g))
+    assert_graphing_rebuilds(unchecked(reduce_to_treeing, g))
     for m in g.maps:
         assert_rebuilds(m.inverse())
-        assert_graphing_rebuilds(restrict_map(g, m.name, data.draw(subsets(g.space))))
+        a = data.draw(subsets(g.space))
+        assert_graphing_rebuilds(unchecked(restrict_map, g, m.name, a))
+
+
+@given(st.integers(1, 40), st.lists(st.integers(-100, 100), min_size=2, max_size=4), st.data())
+def test_rotation_builders_rebuild(n, steps, data):
+    sys = RotationSystem(n, {f"s{j}": s for j, s in enumerate(steps)})
+    assert_graphing_rebuilds(unchecked(full_graphing, sys))
+    arc = Arc(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n)))
+    assert_graphing_rebuilds(unchecked(epsilon_graphing, sys, "s0", arc))
 
 
 @given(relations(), st.data())

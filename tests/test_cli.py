@@ -900,19 +900,38 @@ def test_schreier_verbs_answer_without_a_draw(capsys, golden_files, monkeypatch,
     assert (code, captured.out, captured.err) == (0, expected, "")
 
 
+COINCIDENCE_GOLDENS = [(argv, expected) for argv, expected in SCHREIER_GOLDENS
+                       if argv[0] == "coincidence"]
+
+
+@pytest.mark.parametrize("argv, expected", COINCIDENCE_GOLDENS,
+                         ids=[" ".join(argv) for argv, _ in COINCIDENCE_GOLDENS])
+def test_coincidence_answers_without_the_existence_rule(capsys, golden_files, monkeypatch, argv,
+                                                        expected):
+    # the report picks an index every torsion order divides, so no rule is asked of it
+    def asked(*args):
+        raise AssertionError("asked the existence rule about an index the report picked")
+    monkeypatch.setattr(schreier, "_require_action", asked)
+    code = main([a.format(**golden_files) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected, "")
+
+
 HELD_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT
-                if argv[0] in ("compress", "reduce")]
+                if argv[0] in ("compress", "reduce", "invariants")]
 
 
 @pytest.mark.parametrize("argv, expected", HELD_GOLDENS,
                          ids=[" ".join(argv) for argv, _ in HELD_GOLDENS])
 def test_compress_and_reduce_answer_from_what_they_hold(capsys, golden_files, monkeypatch, argv,
                                                         expected):
-    # compress counts the trace's classes without building it, and reduce keeps a forest
+    # compress counts the trace's classes without building it, reduce keeps a forest, and
+    # invariants checks its reduced graphing against the one relation that graphing generates
     def rebuilt(*args):
         raise AssertionError("re-derived a value the verb already holds")
     monkeypatch.setattr(relcore, "restrict_relation", rebuilt)
     monkeypatch.setattr(relcore, "is_treeing", rebuilt)
+    monkeypatch.setattr(relcore, "generates", rebuilt)
     code = main([a.format(**golden_files) for a in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, expected, "")
@@ -1197,6 +1216,8 @@ RELATION_CAP_LINE = (f"error: {{relation}}: a relation read from classes has at 
                      f"{relcore.MAX_RELATION_ATOMS} atoms, got n=1000000000000\n")
 UNION_FIND_CAP_LINE = (f"error: a union-find or per-atom list holds at most "
                        f"{relcore.MAX_RELATION_ATOMS} atoms, got 1000000000000\n")
+WALK_CAP_LINE = (f"error: a cycle walk visits at most {relcore.MAX_RELATION_ATOMS} atoms, "
+                 f"got n=1000000000000\n")
 
 
 TRILLION_ROWS = [
@@ -1222,11 +1243,15 @@ TRILLION_ROWS = [
     (["treeing", "{pairs}"], 1, UNION_FIND_CAP_LINE),
     (["invariants", "{views}"], 1, UNION_FIND_CAP_LINE),
     (["reduce", "{views}"], 1, UNION_FIND_CAP_LINE),
+    # a cycle walk may visit all n atoms
+    (["first-return", "{views}", "--map", "a", "--arc", "0:10"], 1, WALK_CAP_LINE),
+    (["first-return", "{views}", "--map", "a", "--members", "0,5"], 1, WALK_CAP_LINE),
 ]
 
 
 @pytest.mark.parametrize("argv, code, expected", TRILLION_ROWS,
                          ids=[argv[0] + ("-pairs" if "{pairs}" in argv else "")
+                              + ("-" + argv[-2].lstrip("-") if argv[0] == "first-return" else "")
                               for argv, _, _ in TRILLION_ROWS])
 def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, code, expected):
     """Each verb that reads n at n = 10**12 answers (exit 0) or is one error line (exit 1).
@@ -1235,10 +1260,10 @@ def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, code, expected
     views and the rotation answer from their arcs and a Z/p quotient with p | 4, never
     from n entries; a relation file is refused before its atoms are listed, and a
     union-find on more than MAX_RELATION_ATOMS atoms (the dict graphing's quotient,
-    and reduce's n in reduce and invariants) before it is allocated.  Row still
-    missing: first-return walks every orbit step (ROADMAP item 3).  invariants and
-    reduce answer on the views once they work on the quotient (item 4), and reduce
-    then needs item 9's cap on output pairs.
+    and reduce's n in reduce and invariants) before it is allocated, and a cycle
+    walk over more atoms than that (first-return) before it starts.  invariants and
+    reduce answer on the views once they work on the quotient (ROADMAP item 4), and
+    reduce then needs item 9's cap on output pairs.
     """
     paths = {}
     for name, doc in (("views", TRILLION_VIEWS), ("rotation", TRILLION_ROTATION),

@@ -305,6 +305,21 @@ def test_first_return_requires_nonempty_subset():
         first_return_map(shift_map(5), Subset(FiniteSpace(5), frozenset()))
 
 
+def test_cycle_walks_past_the_atom_cap_are_refused_after_their_own_checks():
+    n = 10**12
+    psi = PartialMap("a", FiniteSpace(n), ShiftMapping(n, 1, 0, n))
+    walk = rf"^a cycle walk visits at most {relcore.MAX_RELATION_ATOMS} atoms, got n={n}$"
+    assert orbit_exponent(psi, 5, 5) == 0
+    with pytest.raises(ModelError, match=walk):
+        orbit_exponent(psi, 0, 5)
+    with pytest.raises(ModelError, match=rf"^atom {n} outside"):
+        orbit_exponent(psi, 0, n)
+    with pytest.raises(ModelError, match=walk):
+        first_return_map(psi, Subset(psi.space, frozenset([0, 5])))
+    with pytest.raises(ModelError, match="nonempty subset"):
+        first_return_map(psi, Subset(psi.space, frozenset()))
+
+
 # ---------------------------------------------------------------- restriction
 
 def test_restrict_map_shrinks_one_domain():

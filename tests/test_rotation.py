@@ -2,6 +2,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from orbitcost import (
     PartialMap,
     Relation,
     RotationSystem,
+    Segment,
     ShiftMapping,
     Subset,
     UnreachableArcError,
@@ -442,6 +444,38 @@ def test_connection_path_endpoints_by_simulation():
             z = tgt
         assert z == path.end == (x + 39) % 101
         assert path.length % 2 == 1
+
+
+@st.composite
+def coarse_paths(draw):
+    """A full step sharing a factor g > 1 with n, any restricted step, and any arc and atom."""
+    g = draw(st.integers(2, 12))
+    n = g * draw(st.integers(1, 30))
+    sa, sb = g * draw(st.integers(-40, 40)), draw(st.integers(-500, 500))
+    arc = Arc(draw(st.integers(0, n - 1)), draw(st.integers(0, n)))
+    return RotationSystem(n, {"a": sa, "b": sb}), arc, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coarse_paths())
+@example((RotationSystem(12, {"a": 4, "b": 7}), Arc(10, 4), 3))  # the arc wraps past 11
+@example((RotationSystem(12, {"a": 0, "b": 5}), Arc(11, 2), 0))  # s_a = 0: x is in the arc
+def test_connection_path_postconditions(case):
+    sys, arc, x = case
+    n, sa, sb = sys.n, sys.steps["a"], sys.steps["b"]
+    try:
+        m = first_hitting_time(n, sa, x, arc)
+    except UnreachableArcError:
+        return
+    # arc membership is first_hitting_time's contract, which connection_path does not re-check
+    with patch.object(Arc, "contains", side_effect=AssertionError("re-checked the arc")):
+        path = connection_path(sys, "a", "b", arc, x)
+    assert path.end == (x + sb) % n
+    assert path.hit == (x + m * sa) % n and arc.contains(path.hit, n)
+    assert path.length == 2 * m + 1
+    middle = [Segment("b", 1, 1)]
+    assert path.segments == ([Segment("a", 1, m), *middle, Segment("a", -1, m)] if m else middle)
+    assert [j[3] for j in elementary(path, sys)][-1] == path.end
 
 
 def test_connection_path_rejects_same_step():

@@ -508,13 +508,13 @@ def test_compression_check_examples():
 
 
 def test_rank_gradient_is_flat_for_modular_group():
-    rows = rank_gradient(GroupSpec((2, 3)), range(6, 61, 6), 3)
+    rows = rank_gradient(GroupSpec((2, 3)), range(6, 61, 6))
     assert all(row.gradient == Fraction(1, 6) for row in rows)
     assert all(row.matches_beta1 for row in rows)
 
 
 def test_rank_gradient_vanishes_for_infinite_dihedral():
-    rows = rank_gradient(GroupSpec((2, 2)), [2, 4, 8, 20, 60], 3)
+    rows = rank_gradient(GroupSpec((2, 2)), [2, 4, 8, 20, 60])
     assert all(row.gradient == 0 for row in rows)
     assert all(row.rank == 1 for row in rows)
 
@@ -522,7 +522,7 @@ def test_rank_gradient_vanishes_for_infinite_dihedral():
 @pytest.mark.parametrize("indices", [[], range(6, 3)])
 def test_rank_gradient_rejects_an_empty_index_list(indices):
     with pytest.raises(ModelError, match="at least one index"):
-        rank_gradient(GroupSpec((2, 3)), indices, 0)
+        rank_gradient(GroupSpec((2, 3)), indices)
 
 
 @pytest.mark.parametrize("indices", [
@@ -537,11 +537,11 @@ def test_rank_gradient_refuses_past_the_row_cap_before_any_draw(monkeypatch, ind
     monkeypatch.setattr(schreier, "_sample_factor_perm", no_draws)
     with pytest.raises(ModelError, match=rf"^rank gradient takes at most "
                                          rf"{schreier.MAX_GRADIENT_ROWS} indices$"):
-        rank_gradient(GroupSpec((2, 3)), indices, 0)
+        rank_gradient(GroupSpec((2, 3)), indices)
 
 
 def test_rank_gradient_resampling_exercises_the_invariant():
-    rows = rank_gradient(GroupSpec((0, 0)), [5] * 4, 11)
+    rows = rank_gradient(GroupSpec((0, 0)), [5] * 4)
     assert len(rows) == 4
     assert {row.gradient for row in rows} == {Fraction(1)}
 
@@ -609,7 +609,7 @@ def test_formula_rows_equal_the_drawing_oracles(case, samples, seed):
         drawn = rank_gradient_by_draw(spec, [index], seed, samples)
     except ModelError:
         return  # no action to draw; test_existence_rule_matches_the_sampler pins the refusal
-    assert rank_gradient(spec, [index] * samples, seed) == drawn
+    assert rank_gradient(spec, [index] * samples) == drawn
     assert compression_check(spec, index, seed) == compression_check_by_draw(spec, index, seed)
     assert (coincidence_report([spec], index, seed)
             == coincidence_report_by_draw([spec], index, seed))
@@ -620,7 +620,7 @@ def test_formula_reports_equal_the_drawing_oracles_on_several_specs():
     assert coincidence_report(specs, 120, 2) == coincidence_report_by_draw(specs, 120, 2)
     spec = GroupSpec((0, 0, 2))
     twice = [index for index in range(2, 41, 2) for _ in range(2)]
-    assert rank_gradient(spec, twice, 9) == rank_gradient_by_draw(spec, range(2, 41, 2), 9, 2)
+    assert rank_gradient(spec, twice) == rank_gradient_by_draw(spec, range(2, 41, 2), 9, 2)
 
 
 # ---------------------------------------------------------------- coincidence
@@ -642,6 +642,19 @@ def test_coincidence_lone_torsion_factor_uses_its_order():
     row = coincidence_report([(5,)], 120, 0)[0]
     assert row.index == 5
     assert row.measured_cost == row.predicted_cost == Fraction(4, 5)
+
+
+def test_coincidence_picks_an_index_the_existence_rule_admits(monkeypatch):
+    # the index is a multiple of every torsion order, and a lone torsion factor's own
+    # order, so the report never asks the existence rule
+    specs = [(2, 3), (0, 0), (2, 2), (5,), (0,), (0, 0, 2)]
+    rows = coincidence_report(specs, 120)
+
+    def asked(*args):
+        raise AssertionError("asked the existence rule about an index it picked")
+    monkeypatch.setattr(schreier, "_require_action", asked)
+    assert coincidence_report(specs, 120) == rows
+    assert [row.index for row in rows] == [120, 120, 120, 5, 120, 120]
 
 
 def test_coincidence_rejects_oversized_torsion():
