@@ -18,11 +18,12 @@ from .relcore import (
     Relation,
     ShiftMapping,
     _built,
+    _check_atom_count,
     _Frozen,
+    _quotient,
     _Record,
     _set,
     cost,
-    generates,
     parse_rational,
 )
 
@@ -53,6 +54,7 @@ class RotationSystem(_Record):
 def expected_relation(sys: RotationSystem) -> Relation:
     """Cosets of g = gcd(n, all steps): the orbit partition of the full action."""
     g = math.gcd(sys.n, *sys.steps.values())
+    _check_atom_count(g)
     return _built(Relation, sys.space, list(range(g)))
 
 
@@ -207,23 +209,24 @@ def _exact_eps(value) -> Fraction:
 
 
 def cost_epsilon_curve(sys: RotationSystem, full_step: str, eps_values) -> CostCurve:
-    """Cost of the restricted family as the arc shrinks.
+    """Cost of the restricted family as the arc shrinks, every eps checked first.
 
-    One row per eps value: the arc is the first ceil(eps * n) atoms, the cost
-    column is exact, and the generates column re-derives the orbit partition
-    from scratch.  When the full step is coprime to n the infimum value 1 is
-    reported; otherwise no infimum is claimed.
+    One row per eps: the arc is the first ceil(eps * n) atoms, and the cost is exact.
+    Every step keeps x mod g, so the family generates exactly when it has g classes:
+    at once if g == p = gcd(n, full step) or the arc meets all p residues, else as
+    counted on the Z/p union-find.  The infimum 1 is claimed only when p == 1.
     """
     if len(sys.steps) < 2:
         raise ModelError("need at least two steps to restrict against a full one")
     if full_step not in sys.steps:
         raise ModelError(f"no step named {full_step!r}")
-    expected = expected_relation(sys)
+    epsilons = [_exact_eps(value) for value in eps_values]
+    g = math.gcd(sys.n, *sys.steps.values())
+    p = math.gcd(sys.n, sys.steps[full_step])
     rows = []
-    for value in eps_values:
-        eps = _exact_eps(value)
+    for eps in epsilons:
         arc_len = -(-eps.numerator * sys.n // eps.denominator)  # ceil(eps * n)
-        g = epsilon_graphing(sys, full_step, Arc(0, arc_len))
-        rows.append(CurveRow(eps, arc_len, cost(g), generates(g, expected)))
-    infimum = Fraction(1) if math.gcd(sys.steps[full_step], sys.n) == 1 else None
-    return CostCurve(rows, infimum)
+        graphing = epsilon_graphing(sys, full_step, Arc(0, arc_len))
+        rows.append(CurveRow(eps, arc_len, cost(graphing),
+                             g == p or arc_len >= p or _quotient(graphing).components == g))
+    return CostCurve(rows, Fraction(1) if p == 1 else None)

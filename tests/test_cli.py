@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitcost
-from orbitcost import cli, relcore, schreier
+from orbitcost import cli, relcore, rotation, schreier
 from orbitcost.cli import main
 from orbitcost.files import fmt_rational
 
@@ -937,6 +937,24 @@ def test_compress_and_reduce_answer_from_what_they_hold(capsys, golden_files, mo
     assert (code, captured.out, captured.err) == (0, expected, "")
 
 
+CURVE_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT if argv[0] == "eps-curve"]
+
+
+@pytest.mark.parametrize("argv, expected", CURVE_GOLDENS,
+                         ids=[" ".join(argv) for argv, _ in CURVE_GOLDENS])
+def test_eps_curve_answers_without_a_rotation_relation(capsys, golden_files, monkeypatch, argv,
+                                                       expected):
+    # the generates column is gcd arithmetic and a class count: nothing listed or compared
+    def built(*args):
+        raise AssertionError("built or compared a rotation relation")
+    monkeypatch.setattr(rotation, "expected_relation", built)
+    monkeypatch.setattr(relcore, "generates", built)
+    monkeypatch.setattr(relcore, "generated_relation", built)
+    code = main([a.format(**golden_files) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected, "")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_rank_too_long_to_print_is_one_error_line(capsys, fmt):
     # eleven free factors: rank 1 + 10 * index has 4301 digits, one past what str() prints
@@ -1195,13 +1213,17 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_capped(argv):
-    """Run the CLI in a child process with 1 GiB of address space; (code, stdout, stderr)."""
+def run_capped_python(args):
+    """Run Python with args in a child with 1 GiB of address space; (code, stdout, stderr)."""
     env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "orbitcost", *argv],
-                          capture_output=True, text=True, env=env,
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           preexec_fn=_cap_address_space, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_capped(argv):
+    """Run the CLI in a capped child; (code, stdout, stderr)."""
+    return run_capped_python(["-m", "orbitcost", *argv])
 
 
 TRILLION_VIEWS = {"space": {"n": 10**12}, "maps": [
@@ -1210,6 +1232,12 @@ TRILLION_VIEWS = {"space": {"n": 10**12}, "maps": [
     {"name": "c", "rotation": 357913, "domain": {"arc": [500, 1000]}}]}
 TRILLION_ROTATION = {"n": 10**12, "steps": {"a": 4, "b": 6, "c": 357913}, "full": "a",
                      "eps": ["1/10", "3/1000000000000"]}
+# the full step's cosets are the gcd cosets, so no rotation relation is listed or compared
+TRILLION_HALF = {"n": 10**12, "steps": {"a": 5 * 10**11, "b": 0}, "full": "a", "eps": ["1/2"]}
+TRILLION_ZEROS = {**TRILLION_HALF, "steps": {"a": 0, "b": 0}}
+TRILLION_EPS2 = {**TRILLION_HALF, "eps": ["2"]}
+HALF_CURVE = ("command: eps-curve\nrows:\n  eps  arc_len       cost  generates\n"
+              "  1/2  500000000000  3/2   true\ninfimum: null\n")
 TRILLION_RELATION = {"n": 10**12, "classes": []}
 TRILLION_PAIRS = {"space": {"n": 10**12}, "maps": [{"name": "a", "pairs": [[0, 1]]}]}
 RELATION_CAP_LINE = (f"error: {{relation}}: a relation read from classes has at most "
@@ -1230,6 +1258,9 @@ TRILLION_ROWS = [
      "  1/10             100000000000  6/5                        true\n"
      "  3/1000000000000  3             500000000003/500000000000  true\n"
      "infimum: null\n"),
+    (["eps-curve", "{half}"], 0, HALF_CURVE),
+    (["eps-curve", "{zeros}"], 0, HALF_CURVE),
+    (["eps-curve", "{eps2}"], 1, "error: eps must lie in (0, 1], got 2\n"),
     (["rotation-demo", "{rotation}", "--x", "123456789", "--arc", "10:1000"], 0,
      "command: rotation-demo\nstart: 123456789\nend: 123456795\nlength: 499938271613\n"
      "hit: 13\nsegments:\n  step  power  count\n  a     1      249969135806\n"
@@ -1250,7 +1281,8 @@ TRILLION_ROWS = [
 
 
 @pytest.mark.parametrize("argv, code, expected", TRILLION_ROWS,
-                         ids=[argv[0] + ("-pairs" if "{pairs}" in argv else "")
+                         ids=[argv[0] + ("" if argv[1] in ("{views}", "{rotation}", "{relation}")
+                                         else "-" + argv[1].strip("{}"))
                               + ("-" + argv[-2].lstrip("-") if argv[0] == "first-return" else "")
                               for argv, _, _ in TRILLION_ROWS])
 def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, code, expected):
@@ -1258,21 +1290,35 @@ def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, code, expected
 
     Each row runs as one child under the memory and time limits of run_capped.  The
     views and the rotation answer from their arcs and a Z/p quotient with p | 4, never
-    from n entries; a relation file is refused before its atoms are listed, and a
-    union-find on more than MAX_RELATION_ATOMS atoms (the dict graphing's quotient,
-    and reduce's n in reduce and invariants) before it is allocated, and a cycle
-    walk over more atoms than that (first-return) before it starts.  invariants and
-    reduce answer on the views once they work on the quotient (ROADMAP item 4), and
-    reduce then needs item 9's cap on output pairs.
+    from n entries.  eps-curve checks every eps first and answers by gcd arithmetic:
+    with steps 5*10**11 and 0, or 0 and 0, the full step's cosets are already the gcd
+    cosets, so no relation is listed.  A relation file is refused before its atoms are
+    listed, and a union-find on more than MAX_RELATION_ATOMS atoms (the dict graphing's
+    quotient, and reduce's n in reduce and invariants) before it is allocated, and a
+    cycle walk over more atoms than that (first-return) before it starts.  invariants
+    and reduce answer on the views once they work on the quotient (ROADMAP item 4),
+    and reduce then needs item 9's cap on output pairs.
     """
     paths = {}
     for name, doc in (("views", TRILLION_VIEWS), ("rotation", TRILLION_ROTATION),
-                      ("relation", TRILLION_RELATION), ("pairs", TRILLION_PAIRS)):
+                      ("half", TRILLION_HALF), ("zeros", TRILLION_ZEROS),
+                      ("eps2", TRILLION_EPS2), ("relation", TRILLION_RELATION),
+                      ("pairs", TRILLION_PAIRS)):
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(doc))
     expected = expected.format(**paths)
     assert run_capped([a.format(**paths) for a in argv]) == (
         (0, expected, "") if code == 0 else (1, "", expected))
+
+
+def test_expected_relation_past_the_atom_cap_is_refused_before_listing():
+    # g = gcd(10**12, 0) = 10**12 cosets; the child's memory limit stops a regression
+    code, out, err = run_capped_python([
+        "-c", "from orbitcost import RotationSystem, expected_relation\n"
+              "expected_relation(RotationSystem(10**12, {'a': 0}))"])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == ("orbitcost.relcore.ModelError: "
+                                  + UNION_FIND_CAP_LINE.removeprefix("error: ").rstrip())
 
 
 def test_infinite_dihedral_at_a_million_cosets_in_bounded_memory():

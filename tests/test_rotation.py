@@ -548,6 +548,60 @@ def test_curve_cost_formula(n, s_full, s_other, length):
     assert row.arc_len == -(-eps.numerator * n // eps.denominator)
 
 
+def curve_by_expected_relation(sys, full_step, eps_values):
+    """Oracle: each row builds its graphing's relation and compares it with the gcd cosets."""
+    expected = expected_relation(sys)
+    rows = []
+    for value in eps_values:
+        eps = Fraction(value)
+        arc_len = -(-eps.numerator * sys.n // eps.denominator)
+        g = epsilon_graphing(sys, full_step, Arc(0, arc_len))
+        rows.append((eps, arc_len, cost(g), generates(g, expected)))
+    return rows, Fraction(1) if math.gcd(sys.steps[full_step], sys.n) == 1 else None
+
+
+@st.composite
+def curve_systems(draw):
+    """n <= 200 (n = 1 included) with two to four steps, zeros and a common factor frequent."""
+    common = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    n = common * draw(st.integers(1, 200 // common))
+    steps = draw(st.lists(st.one_of(st.just(0), st.integers(0, 200).map(lambda s: s * common)),
+                          min_size=2, max_size=4))
+    sys = RotationSystem(n, {f"s{i}": s for i, s in enumerate(steps)})
+    full_step = f"s{draw(st.integers(0, len(steps) - 1))}"
+    p = math.gcd(n, sys.steps[full_step])
+    lengths = [p - 1, p, p + 1, draw(st.integers(1, n))]
+    eps = [Fraction(length, n) for length in lengths if 1 <= length <= n]
+    return sys, full_step, eps + [draw(st.fractions(0, 1).filter(bool))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(curve_systems())
+@example((RotationSystem(1, {"a": 0, "b": 0}), "a", [Fraction(1)]))
+@example((RotationSystem(12, {"a": 4, "b": 6}), "a", [Fraction(3, 12), Fraction(4, 12)]))
+@example((RotationSystem(12, {"a": 0, "b": 0, "c": 6}), "b", [Fraction(1, 12)]))
+def test_curve_generates_by_gcd_matches_relation_oracle(case):
+    sys, full_step, eps = case
+    curve = cost_epsilon_curve(sys, full_step, eps)
+    rows, infimum = curve_by_expected_relation(sys, full_step, eps)
+    assert [(row.eps, row.arc_len, row.cost, row.generates) for row in curve.rows] == rows
+    assert curve.infimum == infimum
+
+
+def test_curve_answers_past_the_atom_cap_when_the_arc_meets_every_coset():
+    # p = gcd(10**8, 5 * 10**7) = 5 * 10**7 and g = 1: an arc of p atoms answers by the rule,
+    # a shorter one needs the Z/p union-find, which is refused before it is allocated
+    sys = RotationSystem(10**8, {"a": 5 * 10**7, "b": 1})
+    row, = cost_epsilon_curve(sys, "a", ["1/2"]).rows
+    assert (row.arc_len, row.cost, row.generates) == (5 * 10**7, Fraction(3, 2), True)
+    with pytest.raises(ModelError, match=r"^a union-find or per-atom list holds at most "
+                                         r"10000000 atoms, got 50000000$"):
+        cost_epsilon_curve(sys, "a", ["1/100000000"])
+    # every eps is checked before the first row asks for that union-find
+    with pytest.raises(ModelError, match=r"^eps must lie in \(0, 1\], got 2$"):
+        cost_epsilon_curve(sys, "a", ["1/100000000", "2"])
+
+
 def test_million_atom_curve_values():
     # the classical 1 + eps family at n = 10**6, exact and still generating
     sys = RotationSystem(10**6, {"a": 1, "b": 357913})
