@@ -271,7 +271,7 @@ class PartialMap(_Record):
 
     def is_full(self) -> bool:
         """Full domain; together with injectivity this makes a permutation."""
-        return len(self.mapping) == self.space.n
+        return _entries(self.mapping) == self.space.n
 
     def inverse(self) -> "PartialMap":
         return _built(PartialMap, f"{self.name}_inv", self.space,
@@ -420,9 +420,14 @@ class EdgeSet(_Frozen):
                 raise ModelError(f"edge ({x}, {y}) leaves 0..{space.n - 1}")
 
 
+def _entries(mapping: Mapping[int, int]) -> int:
+    """len(mapping), which len() cannot return for a view of sys.maxsize atoms or more."""
+    return mapping.arc.length if isinstance(mapping, ShiftMapping) else len(mapping)
+
+
 def cost(g: Graphing) -> Fraction:
     """Total weight of the map domains, counted with multiplicity."""
-    return g.space.measure(sum(len(m.mapping) for m in g.maps))
+    return g.space.measure(sum(_entries(m.mapping) for m in g.maps))
 
 
 def to_edge_set(g: Graphing) -> EdgeSet:
@@ -596,7 +601,7 @@ def _require_permutation(psi: PartialMap):
     if not psi.is_full():
         raise ModelError(
             f"map {psi.name!r} must be a full permutation, its domain has "
-            f"{len(psi.mapping)} of {psi.space.n} atoms")
+            f"{_entries(psi.mapping)} of {psi.space.n} atoms")
 
 
 def _require_atom(space: FiniteSpace, x: int):

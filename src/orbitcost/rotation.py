@@ -23,7 +23,6 @@ from .relcore import (
     _quotient,
     _Record,
     _set,
-    cost,
     parse_rational,
 )
 
@@ -211,10 +210,10 @@ def _exact_eps(value) -> Fraction:
 def cost_epsilon_curve(sys: RotationSystem, full_step: str, eps_values) -> CostCurve:
     """Cost of the restricted family as the arc shrinks, every eps checked first.
 
-    One row per eps: the arc is the first ceil(eps * n) atoms, and the cost is exact.
-    Every step keeps x mod g, so the family generates exactly when it has g classes:
-    at once if g == p = gcd(n, full step) or the arc meets all p residues, else as
-    counted on the Z/p union-find.  The infimum 1 is claimed only when p == 1.
+    One row per eps: the arc is the first ceil(eps * n) atoms, and k steps cost exactly
+    (n + (k - 1) * arc_len)/n.  Every step keeps x mod g, so the family generates exactly
+    when it has g classes: at once if g == p = gcd(n, full step) or the arc meets all p
+    residues, else as counted on the row's Z/p union-find.  Infimum 1 only when p == 1.
     """
     if len(sys.steps) < 2:
         raise ModelError("need at least two steps to restrict against a full one")
@@ -226,7 +225,7 @@ def cost_epsilon_curve(sys: RotationSystem, full_step: str, eps_values) -> CostC
     rows = []
     for eps in epsilons:
         arc_len = -(-eps.numerator * sys.n // eps.denominator)  # ceil(eps * n)
-        graphing = epsilon_graphing(sys, full_step, Arc(0, arc_len))
-        rows.append(CurveRow(eps, arc_len, cost(graphing),
-                             g == p or arc_len >= p or _quotient(graphing).components == g))
+        price = Fraction(sys.n + (len(sys.steps) - 1) * arc_len, sys.n)
+        rows.append(CurveRow(eps, arc_len, price, g == p or arc_len >= p or _quotient(
+            epsilon_graphing(sys, full_step, Arc(0, arc_len))).components == g))
     return CostCurve(rows, Fraction(1) if p == 1 else None)

@@ -18,32 +18,42 @@ from orbitcost.cli import main
 from orbitcost.files import fmt_rational
 
 
+# the documents the golden commands read, by the name their argv templates give them
+GOLDEN_DOCS = {
+    "graphing": {"space": {"n": 10},
+                 "maps": [{"name": "a", "rotation": 1, "domain": "all"},
+                          {"name": "b", "rotation": 3, "domain": {"arc": [0, 2]}}]},
+    "rotation": {"n": 1000, "steps": {"a": 1, "b": 357}, "full": "a",
+                 "eps": ["1/10", "1/100", "1/1000"], "arc": [0, 10]},
+    "small": {"space": {"n": 6}, "maps": [{"name": "a", "pairs": [[0, 1], [1, 2]]},
+                                          {"name": "b", "pairs": [[3, 4], [2, 0]]}]},
+    "relation": {"n": 5, "classes": [[0, 3, 1]]},
+    "mixed": {"space": {"n": 12}, "maps": [{"name": "a", "rotation": 8, "domain": "all"},
+                                           {"name": "b", "pairs": [[1, 6], [5, 5], [3, 2]]}]},
+    "mixed_classes": {"n": 12, "classes": [[0, 4, 8], [1, 2, 3, 5, 6, 7, 9, 10, 11]]},
+    "one_class": {"n": 12, "classes": [list(range(12))]},
+    "schreier": {"factors": [2, 3], "indices": [6, 12], "seed": 3},
+}
+
+
+def write_doc(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.fixture
 def graphing_file(tmp_path):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps({
-        "space": {"n": 10},
-        "maps": [{"name": "a", "rotation": 1, "domain": "all"},
-                 {"name": "b", "rotation": 3, "domain": {"arc": [0, 2]}}],
-    }))
-    return str(path)
+    return write_doc(tmp_path / "g.json", GOLDEN_DOCS["graphing"])
 
 
 @pytest.fixture
 def relation_file(tmp_path):
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps({"n": 10, "classes": [[0, 1, 2, 3], [4, 5, 6]]}))
-    return str(path)
+    return write_doc(tmp_path / "r.json", {"n": 10, "classes": [[0, 1, 2, 3], [4, 5, 6]]})
 
 
 @pytest.fixture
 def rotation_file(tmp_path):
-    path = tmp_path / "rot.json"
-    path.write_text(json.dumps({
-        "n": 1000, "steps": {"a": 1, "b": 357}, "full": "a",
-        "eps": ["1/10", "1/100", "1/1000"], "arc": [0, 10],
-    }))
-    return str(path)
+    return write_doc(tmp_path / "rot.json", GOLDEN_DOCS["rotation"])
 
 
 def run(capsys, argv):
@@ -815,27 +825,8 @@ all_match: true
 
 
 @pytest.fixture
-def golden_files(tmp_path, graphing_file, rotation_file):
-    small = tmp_path / "small.json"
-    small.write_text(json.dumps({"space": {"n": 6}, "maps": [
-        {"name": "a", "pairs": [[0, 1], [1, 2]]}, {"name": "b", "pairs": [[3, 4], [2, 0]]}]}))
-    relation = tmp_path / "r5.json"
-    relation.write_text(json.dumps({"n": 5, "classes": [[0, 3, 1]]}))
-    mixed = tmp_path / "mixed.json"
-    mixed.write_text(json.dumps({"space": {"n": 12}, "maps": [
-        {"name": "a", "rotation": 8, "domain": "all"},
-        {"name": "b", "pairs": [[1, 6], [5, 5], [3, 2]]}]}))
-    mixed_classes = tmp_path / "mixed_classes.json"
-    mixed_classes.write_text(json.dumps(
-        {"n": 12, "classes": [[0, 4, 8], [1, 2, 3, 5, 6, 7, 9, 10, 11]]}))
-    one_class = tmp_path / "one_class.json"
-    one_class.write_text(json.dumps({"n": 12, "classes": [list(range(12))]}))
-    schreier_doc = tmp_path / "schreier.json"
-    schreier_doc.write_text(json.dumps({"factors": [2, 3], "indices": [6, 12], "seed": 3}))
-    return {"small": str(small), "graphing": graphing_file,
-            "rotation": rotation_file, "relation": str(relation), "mixed": str(mixed),
-            "mixed_classes": str(mixed_classes), "one_class": str(one_class),
-            "schreier": str(schreier_doc)}
+def golden_files(tmp_path):
+    return {name: write_doc(tmp_path / f"{name}.json", doc) for name, doc in GOLDEN_DOCS.items()}
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_STDOUT,
@@ -918,20 +909,26 @@ def test_coincidence_answers_without_the_existence_rule(capsys, golden_files, mo
 
 
 HELD_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT
-                if argv[0] in ("compress", "reduce", "invariants")]
+                if argv[0] in ("compress", "reduce", "invariants", "single-gen")]
 
 
 @pytest.mark.parametrize("argv, expected", HELD_GOLDENS,
                          ids=[" ".join(argv) for argv, _ in HELD_GOLDENS])
 def test_compress_and_reduce_answer_from_what_they_hold(capsys, golden_files, monkeypatch, argv,
                                                         expected):
-    # compress counts the trace's classes without building it, reduce keeps a forest, and
+    # compress counts the trace's classes without building it, reduce keeps a forest,
     # invariants checks its reduced graphing against the one relation that graphing generates
+    # and reads the spanning treeing's and the transversal's identities from the class count,
+    # and single-gen prices its permutation by its entries, with no graphing around it
     def rebuilt(*args):
         raise AssertionError("re-derived a value the verb already holds")
     monkeypatch.setattr(relcore, "restrict_relation", rebuilt)
     monkeypatch.setattr(relcore, "is_treeing", rebuilt)
     monkeypatch.setattr(relcore, "generates", rebuilt)
+    monkeypatch.setattr(relcore, "spanning_treeing", rebuilt)
+    monkeypatch.setattr(relcore, "transversal", rebuilt)
+    if argv[0] == "single-gen":  # the only one of these verbs that loads no graphing file
+        monkeypatch.setattr(relcore.Graphing, "__init__", rebuilt)
     code = main([a.format(**golden_files) for a in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, expected, "")
@@ -1311,6 +1308,28 @@ def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, code, expected
         (0, expected, "") if code == 0 else (1, "", expected))
 
 
+MAXSIZE_VIEW = {"space": {"n": 2**63}, "maps": [{"name": "a", "rotation": 1, "domain": "all"}]}
+MAXSIZE_ROTATION = {"n": 2**63, "steps": {"a": 1, "b": 3}, "full": "a", "eps": ["1/2"]}
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["cost", "{view}"], 0, "command: cost\ncost: 1\n"),
+    (["treeing", "{view}"], 0, "command: treeing\nis_treeing: false\n"),
+    (["eps-curve", "{rotation}"], 0,
+     "command: eps-curve\nrows:\n  eps  arc_len              cost  generates\n"
+     "  1/2  4611686018427387904  3/2   true\ninfimum: 1\n"),
+    (["invariants", "{view}"], 1, UNION_FIND_CAP_LINE.replace("1000000000000", str(2**63))),
+    (["first-return", "{view}", "--members", "0,5"], 1,
+     WALK_CAP_LINE.replace("1000000000000", str(2**63))),
+], ids=["cost", "treeing", "eps-curve", "invariants", "first-return"])
+def test_views_of_sys_maxsize_atoms_are_counted_by_their_arcs(tmp_path, argv, code, expected):
+    # len() of a view cannot pass sys.maxsize, so the entries of a view are its arc length
+    paths = {"view": write_doc(tmp_path / "view.json", MAXSIZE_VIEW),
+             "rotation": write_doc(tmp_path / "rotation.json", MAXSIZE_ROTATION)}
+    assert run_capped([a.format(**paths) for a in argv]) == (
+        (0, expected, "") if code == 0 else (1, "", expected))
+
+
 def test_expected_relation_past_the_atom_cap_is_refused_before_listing():
     # g = gcd(10**12, 0) = 10**12 cosets; the child's memory limit stops a regression
     code, out, err = run_capped_python([
@@ -1362,6 +1381,126 @@ def test_json_past_the_parser_limits_is_one_error_line(tmp_path, doc, message):
     path = tmp_path / "limit.json"
     path.write_text(doc)
     assert run_capped(["cost", str(path)]) == (1, "", f"error: {path}: {message}\n")
+
+
+FUZZ_CHILD = """
+import contextlib, io, json, signal, sys, traceback
+from orbitcost.cli import main
+
+def on_alarm(*args):
+    raise TimeoutError("the case ran past its alarm")
+
+signal.signal(signal.SIGALRM, on_alarm)
+for line in sys.stdin:
+    err = io.StringIO()
+    signal.alarm(20)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(json.loads(line))
+            except SystemExit as e:
+                code = e.code or 0
+        answer = {"code": code, "err": err.getvalue()}
+    except Exception:  # a traceback, the alarm or a MemoryError: the case fails
+        answer = {"crash": traceback.format_exc()}
+    finally:
+        signal.alarm(0)
+    print(json.dumps(answer), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_child():
+    """One child running main() on each argv line it reads, with the memory cap of run_capped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-c", FUZZ_CHILD], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True, env=env,
+                          preexec_fn=_cap_address_space) as proc:
+        yield proc  # leaving the block closes stdin, which ends the child, and waits for it
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+# what a number or a string turns into: huge, negative, bool, float or str
+SWAPPED_SCALARS = [10**12, 2**64, 10**40, -1, -10**12, True, False, 0.5, 1e300, "7", "x"]
+
+
+@st.composite
+def mutated_docs(draw, doc):
+    """doc after up to three mutations: a scalar swapped, a list truncated or nested, a key dropped."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, list):
+            node = draw(st.sampled_from([node[:draw(st.integers(0, len(node)))], [node]]))
+        elif isinstance(node, dict):
+            dropped = draw(st.sampled_from(list(node))) if node else None
+            node = {k: v for k, v in node.items() if k != dropped}
+        else:
+            node = draw(st.sampled_from(SWAPPED_SCALARS))
+        if not path:
+            doc = node
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = node
+    return doc
+
+
+FLAG_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1", "2", "1000000000000", "x", "", "0:0", "1:2:3", "0,1,1",
+                     "2;2", "-5:3", "0:1000000000000", "1:1000000000000"]),
+    st.text("0123456789,:;-x", max_size=8))
+
+
+@st.composite
+def fuzzed_commands(draw):
+    """A golden argv with its flag values swapped, its flags dropped and its files mutated."""
+    argv, _ = draw(st.sampled_from(GOLDEN_STDOUT))
+    out, files = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("--"):  # every golden flag takes a value
+            value = next(tokens)
+            if draw(st.integers(0, 3)):  # else the flag and its value are dropped
+                out += [token, draw(st.one_of(st.just(value), FLAG_VALUES))]
+            continue
+        if token.startswith("{"):
+            name = token.strip("{}")
+            files[name] = draw(mutated_docs(GOLDEN_DOCS[name]))
+        out.append(token)
+    return out, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_commands())
+def test_fuzzed_verbs_flags_and_files_exit_cleanly(tmp_path_factory, fuzz_child, case):
+    """Every verb, with mutated flags and golden files, answers or refuses in one clean way.
+
+    Exit 0 writes nothing to stderr, exit 1 writes one error line and exit 2 is argparse's
+    usage text.  A traceback, a run past the alarm or a memory error fails the case.
+    """
+    argv, docs = case
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {name: write_doc(root / f"{name}.json", doc) for name, doc in docs.items()}
+    fuzz_child.stdin.write(json.dumps([a.format(**paths) for a in argv]) + "\n")
+    fuzz_child.stdin.flush()
+    answer = json.loads(fuzz_child.stdout.readline() or '{"crash": "the child died"}')
+    assert "crash" not in answer, answer["crash"]
+    code, err = answer["code"], answer["err"]
+    kind = ("empty" if not err else "usage" if err.startswith("usage: ")
+            else "error line" if err.startswith("error: ") and err.count("\n") == 1 else err)
+    assert (code, kind) in {(0, "empty"), (1, "error line"), (2, "usage")}
 
 
 def test_cli_runs_on_the_standard_library_alone():

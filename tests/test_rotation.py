@@ -36,12 +36,14 @@ from orbitcost import (
     nu_measure,
     reduce_to_treeing,
     restrict_relation,
+    rotation,
     single_full_generator,
     spanning_treeing,
     to_edge_set,
     transversal,
 )
 from orbitcost.files import dump_graphing, dump_relation
+from orbitcost.relcore import _quotient
 from orbitcost.unionfind import UnionFind
 
 
@@ -600,6 +602,59 @@ def test_curve_answers_past_the_atom_cap_when_the_arc_meets_every_coset():
     # every eps is checked before the first row asks for that union-find
     with pytest.raises(ModelError, match=r"^eps must lie in \(0, 1\], got 2$"):
         cost_epsilon_curve(sys, "a", ["1/100000000", "2"])
+
+
+def curve_by_graphing(sys, full_step, epsilons):
+    """Oracle: every row builds its epsilon_graphing, then reads its cost and its class count."""
+    g = math.gcd(sys.n, *sys.steps.values())
+    rows = []
+    for eps in epsilons:
+        arc_len = -(-eps.numerator * sys.n // eps.denominator)
+        graphing = epsilon_graphing(sys, full_step, Arc(0, arc_len))
+        rows.append((eps, arc_len, cost(graphing), _quotient(graphing).components == g))
+    return rows
+
+
+@st.composite
+def priced_curves(draw):
+    """n <= 300 with two or three steps; half the full steps share a factor with n.
+
+    Arcs fall both shorter than p = gcd(n, full step) and at least p long, and the
+    restricted steps are often multiples of p, so that g == p as well as g != p.
+    """
+    if draw(st.booleans()):
+        factor = draw(st.sampled_from([2, 3, 4, 5, 6]))
+        n = factor * draw(st.integers(1, 300 // factor))
+        full = factor * draw(st.integers(0, n))
+    else:
+        n = draw(st.integers(1, 300))
+        full = draw(st.integers(0, 2 * n).filter(lambda s: math.gcd(n, s) == 1))
+    p = math.gcd(n, full)
+    others = draw(st.lists(st.one_of(st.integers(0, 2 * n), st.integers(0, n).map(p.__mul__)),
+                           min_size=1, max_size=2))
+    sys = RotationSystem(n, {"full": full, **{f"s{i}": s for i, s in enumerate(others)}})
+    lengths = [draw(st.integers(1, p - 1))] if p > 1 else []
+    lengths.append(draw(st.integers(min(p, n), n)))
+    eps = [Fraction(length, n) for length in lengths]
+    return sys, eps + [draw(st.fractions(0, 1, max_denominator=10**4).filter(bool))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(priced_curves())
+@example((RotationSystem(1, {"full": 0, "s0": 0}), [Fraction(1)]))
+@example((RotationSystem(12, {"full": 4, "s0": 6}), [Fraction(3, 12), Fraction(4, 12)]))
+@example((RotationSystem(12, {"full": 4, "s0": 8, "s1": 4}), [Fraction(1, 12)]))  # g == p
+def test_curve_prices_by_formula_and_builds_only_the_counted_rows(case):
+    sys, eps = case
+    with patch.object(rotation, "epsilon_graphing", wraps=epsilon_graphing) as built:
+        curve = cost_epsilon_curve(sys, "full", eps)
+    rows = [(row.eps, row.arc_len, row.cost, row.generates) for row in curve.rows]
+    assert rows == curve_by_graphing(sys, "full", eps)
+    # a graphing is built only for a row whose class count the rule cannot skip
+    g = math.gcd(sys.n, *sys.steps.values())
+    p = math.gcd(sys.n, sys.steps["full"])
+    assert [call.args for call in built.call_args_list] == [
+        (sys, "full", Arc(0, row.arc_len)) for row in curve.rows if g != p and row.arc_len < p]
 
 
 def test_million_atom_curve_values():
