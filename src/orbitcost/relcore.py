@@ -274,8 +274,10 @@ class PartialMap(_Record):
         return _entries(self.mapping) == self.space.n
 
     def inverse(self) -> "PartialMap":
-        return _built(PartialMap, f"{self.name}_inv", self.space,
-                      {y: x for x, y in self.mapping.items()})
+        m = self.mapping  # a view's inverse is x -> x - step on the shifted arc, in O(1)
+        inverse = (ShiftMapping(m.n, -m.step, (m.arc.start + m.step) % m.n, m.arc.length)
+                   if isinstance(m, ShiftMapping) else {y: x for x, y in m.items()})
+        return _built(PartialMap, f"{self.name}_inv", self.space, inverse)
 
 
 class Graphing(_Record):
@@ -673,7 +675,7 @@ def restrict_map(g: Graphing, map_name: str, a: Subset) -> Graphing:
         raise ModelError("graphing and subset live on different spaces")
     m = g.map_named(map_name)
     kept = _built(PartialMap, m.name, g.space,
-                  {x: y for x, y in m.mapping.items() if x in a.members})
+                  {x: m.mapping[x] for x in sorted(a.members) if x in m.mapping})
     return _built(Graphing, g.space, [kept if other is m else other for other in g.maps])
 
 

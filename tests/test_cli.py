@@ -1,6 +1,8 @@
 """Command line: one smoke per verb, exit codes, byte-stable reports."""
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import resource
@@ -16,6 +18,7 @@ import orbitcost
 from orbitcost import cli, relcore, rotation, schreier
 from orbitcost.cli import main
 from orbitcost.files import fmt_rational
+from test_relcore import graphings
 
 
 # the documents the golden commands read, by the name their argv templates give them
@@ -917,9 +920,9 @@ HELD_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT
 def test_compress_and_reduce_answer_from_what_they_hold(capsys, golden_files, monkeypatch, argv,
                                                         expected):
     # compress counts the trace's classes without building it, reduce keeps a forest,
-    # invariants checks its reduced graphing against the one relation that graphing generates
-    # and reads the spanning treeing's and the transversal's identities from the class count,
-    # and single-gen prices its permutation by its entries, with no graphing around it
+    # invariants reads the reduction's, the spanning treeing's and the transversal's
+    # identities from the class count, and single-gen prices its permutation by its
+    # entries, with no graphing around it
     def rebuilt(*args):
         raise AssertionError("re-derived a value the verb already holds")
     monkeypatch.setattr(relcore, "restrict_relation", rebuilt)
@@ -927,11 +930,64 @@ def test_compress_and_reduce_answer_from_what_they_hold(capsys, golden_files, mo
     monkeypatch.setattr(relcore, "generates", rebuilt)
     monkeypatch.setattr(relcore, "spanning_treeing", rebuilt)
     monkeypatch.setattr(relcore, "transversal", rebuilt)
+    if argv[0] == "invariants":  # reduce's own output is the reduction
+        monkeypatch.setattr(relcore, "reduce_to_treeing", rebuilt)
     if argv[0] == "single-gen":  # the only one of these verbs that loads no graphing file
         monkeypatch.setattr(relcore.Graphing, "__init__", rebuilt)
     code = main([a.format(**golden_files) for a in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, expected, "")
+
+
+def invariants_oracle(g: relcore.Graphing, edge_budget: int) -> dict:
+    """invariants' report with its reduction run and its treeing and transversal built."""
+    total, nu = relcore.cost(g), relcore.nu(g)
+    r = relcore.generated_relation(g)
+    floor = relcore.min_cost(r)
+    reduced = relcore.reduce_to_treeing(g)
+    reduced_cost = relcore.cost(reduced)
+    reduced_r = relcore.generated_relation(reduced)
+    checks = {
+        "cost_ge_nu": total >= nu,
+        "nu_ge_min_cost": nu >= floor,
+        "reduced_is_treeing": reduced_cost == relcore.min_cost(reduced_r),
+        "reduced_generates": reduced_r == r,
+        "reduced_cost_is_min": reduced_cost == floor,
+        "spanning_cost_is_min": relcore.cost(relcore.spanning_treeing(r)) == floor,
+        "transversal_identity": floor == 1 - relcore.transversal(r).measure,
+    }
+    try:
+        brute = relcore.brute_force_min_cost(r, edge_budget)
+        checks["brute_force_agrees"] = brute == floor
+    except relcore.EdgeBudgetError:
+        brute = None
+    return {"command": "invariants", "cost": total, "nu": nu, "min_cost": floor,
+            "reduced_cost": reduced_cost, "brute_min_cost": brute, "checks": checks,
+            "ok": all(checks.values())}
+
+
+def graphing_doc(g: relcore.Graphing) -> dict:
+    """g as a graphing file: each view by its step and arc, each dict map by its pairs."""
+    maps = []
+    for m in g.maps:
+        v = m.mapping
+        if isinstance(v, relcore.ShiftMapping):
+            maps.append({"name": m.name, "rotation": v.step,
+                         "domain": {"arc": [v.arc.start, v.arc.length]}})
+        else:
+            maps.append({"name": m.name, "pairs": [list(pair) for pair in m.pairs()]})
+    return {"space": {"n": g.space.n}, "maps": maps}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphings(), st.integers(1, relcore.MAX_EDGE_BUDGET))
+def test_invariants_matches_the_report_built_from_its_reduction(tmp_path_factory, g, budget):
+    path = write_doc(tmp_path_factory.getbasetemp() / "invariants.json", graphing_doc(g))
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["invariants", path, "--edge-budget", str(budget), "--format", fmt])
+        assert (code, out.getvalue()) == (0, cli.render(invariants_oracle(g, budget), fmt))
 
 
 CURVE_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT if argv[0] == "eps-curve"]
@@ -1239,6 +1295,13 @@ TRILLION_RELATION = {"n": 10**12, "classes": []}
 TRILLION_PAIRS = {"space": {"n": 10**12}, "maps": [{"name": "a", "pairs": [[0, 1]]}]}
 RELATION_CAP_LINE = (f"error: {{relation}}: a relation read from classes has at most "
                      f"{relcore.MAX_RELATION_ATOMS} atoms, got n=1000000000000\n")
+INVARIANTS_CHECKS = ("brute_min_cost: null\nchecks:\n  cost_ge_nu: true\n  nu_ge_min_cost: true\n"
+                     "  reduced_is_treeing: true\n  reduced_generates: true\n"
+                     "  reduced_cost_is_min: true\n  spanning_cost_is_min: true\n"
+                     "  transversal_identity: true\nok: true\n")
+TRILLION_INVARIANTS = ("command: invariants\ncost: 500000001/500000000\n"
+                       "nu: 2000000003/2000000000\nmin_cost: 999999999999/1000000000000\n"
+                       "reduced_cost: 999999999999/1000000000000\n" + INVARIANTS_CHECKS)
 UNION_FIND_CAP_LINE = (f"error: a union-find or per-atom list holds at most "
                        f"{relcore.MAX_RELATION_ATOMS} atoms, got 1000000000000\n")
 WALK_CAP_LINE = (f"error: a cycle walk visits at most {relcore.MAX_RELATION_ATOMS} atoms, "
@@ -1249,6 +1312,7 @@ TRILLION_ROWS = [
     (["cost", "{views}"], 0, "command: cost\ncost: 500000001/500000000\n"),
     (["nu", "{views}"], 0, "command: nu\nnu: 2000000003/2000000000\n"),
     (["treeing", "{views}"], 0, "command: treeing\nis_treeing: false\n"),
+    (["invariants", "{views}"], 0, TRILLION_INVARIANTS),
     (["eps-curve", "{rotation}"], 0,
      "command: eps-curve\nrows:\n"
      "  eps              arc_len       cost                       generates\n"
@@ -1269,7 +1333,6 @@ TRILLION_ROWS = [
     (["brute-min", "{relation}"], 1, RELATION_CAP_LINE),
     # a dict graphing has no full view, so its quotient is all n atoms
     (["treeing", "{pairs}"], 1, UNION_FIND_CAP_LINE),
-    (["invariants", "{views}"], 1, UNION_FIND_CAP_LINE),
     (["reduce", "{views}"], 1, UNION_FIND_CAP_LINE),
     # a cycle walk may visit all n atoms
     (["first-return", "{views}", "--map", "a", "--arc", "0:10"], 1, WALK_CAP_LINE),
@@ -1291,10 +1354,11 @@ def test_trillion_atom_commands_in_bounded_memory(tmp_path, argv, code, expected
     with steps 5*10**11 and 0, or 0 and 0, the full step's cosets are already the gcd
     cosets, so no relation is listed.  A relation file is refused before its atoms are
     listed, and a union-find on more than MAX_RELATION_ATOMS atoms (the dict graphing's
-    quotient, and reduce's n in reduce and invariants) before it is allocated, and a
-    cycle walk over more atoms than that (first-return) before it starts.  invariants
-    and reduce answer on the views once they work on the quotient (ROADMAP item 4),
-    and reduce then needs item 9's cap on output pairs.
+    quotient, and reduce's n) before it is allocated, and a cycle walk over more atoms
+    than that (first-return) before it starts.  invariants reads its reduction's
+    checks from the class count, so it answers on the views.  reduce answers on them
+    once it works on the quotient (ROADMAP item 4), and then needs item 9's cap on
+    output pairs.
     """
     paths = {}
     for name, doc in (("views", TRILLION_VIEWS), ("rotation", TRILLION_ROTATION),
@@ -1318,7 +1382,9 @@ MAXSIZE_ROTATION = {"n": 2**63, "steps": {"a": 1, "b": 3}, "full": "a", "eps": [
     (["eps-curve", "{rotation}"], 0,
      "command: eps-curve\nrows:\n  eps  arc_len              cost  generates\n"
      "  1/2  4611686018427387904  3/2   true\ninfimum: 1\n"),
-    (["invariants", "{view}"], 1, UNION_FIND_CAP_LINE.replace("1000000000000", str(2**63))),
+    (["invariants", "{view}"], 0,
+     "command: invariants\ncost: 1\nnu: 1\nmin_cost: 9223372036854775807/9223372036854775808\n"
+     "reduced_cost: 9223372036854775807/9223372036854775808\n" + INVARIANTS_CHECKS),
     (["first-return", "{view}", "--members", "0,5"], 1,
      WALK_CAP_LINE.replace("1000000000000", str(2**63))),
 ], ids=["cost", "treeing", "eps-curve", "invariants", "first-return"])
@@ -1338,6 +1404,16 @@ def test_expected_relation_past_the_atom_cap_is_refused_before_listing():
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == ("orbitcost.relcore.ModelError: "
                                   + UNION_FIND_CAP_LINE.removeprefix("error: ").rstrip())
+
+
+def test_restrict_map_of_a_trillion_atom_view_reads_only_the_subset():
+    code, out, err = run_capped_python([
+        "-c", "from orbitcost import *\n"
+              "n = 10**12\n"
+              "space = FiniteSpace(n)\n"
+              "g = Graphing(space, [PartialMap('a', space, ShiftMapping(n, 1, 0, n))])\n"
+              "print(restrict_map(g, 'a', Subset(space, {0, 5, 999})).maps[0].pairs())"])
+    assert (code, out, err) == (0, "[(0, 1), (5, 6), (999, 1000)]\n", "")
 
 
 def test_infinite_dihedral_at_a_million_cosets_in_bounded_memory():

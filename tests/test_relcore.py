@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcost import (
@@ -520,6 +520,29 @@ def test_reduction_properties(g):
     assert generates(t, generated_relation(g))
     assert cost(t) == min_cost(generated_relation(g))
     assert reduce_to_treeing(t) == t
+
+
+@st.composite
+def views(draw, max_n=30):
+    """A shift view: any step, so step 0 and gcd(step, n) > 1 come up, on any arc."""
+    n = draw(st.integers(1, max_n))
+    length = draw(st.one_of(st.just(n), st.integers(0, n)))
+    return n, draw(st.integers(-2 * n, 2 * n)), draw(st.integers(0, n - 1)), length
+
+
+@given(views())
+@example((12, 5, 9, 6))  # an arc that wraps
+@example((12, 7, 4, 12))  # a full arc from a nonzero start
+@example((12, 0, 3, 5))  # step 0: every entry a loop
+@example((12, 8, 10, 7))  # gcd(8, 12) = 4, wrapping
+@example((1, 0, 0, 1))
+def test_inverse_of_a_view_is_the_view_of_its_swapped_pairs(view):
+    n, step, start, length = view
+    m = PartialMap("a", FiniteSpace(n), ShiftMapping(n, step, start, length))
+    inverse = m.inverse()
+    assert isinstance(inverse.mapping, ShiftMapping)
+    assert inverse.name == "a_inv"
+    assert inverse.pairs() == sorted((y, x) for x, y in m.pairs())
 
 
 @given(graphings(max_n=12, max_maps=2))
