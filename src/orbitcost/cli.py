@@ -441,13 +441,16 @@ def main(argv=None) -> int:
     except relcore.ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text stream, such as an io.StringIO put in by redirect_stdout
         sys.stdout.write(text)
         return 0
     # PYTHONUNBUFFERED=1 makes this the raw file, whose write may take only part of the bytes
     sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    # a name the encoding lacks prints as its escape, as --format json's ensure_ascii does
+    data = memoryview(text.encode(sys.stdout.encoding, "backslashreplace"))
     while data:
         taken = out.write(data)
         if not taken:  # None: a non-blocking stdout is full
@@ -470,7 +473,8 @@ def run():
     gc.disable()
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as e:  # only a write raises one: files makes the rest FormatErrors
         print(f"error: cannot write the report: {e.strerror}", file=sys.stderr)
         code = 1

@@ -311,7 +311,7 @@ class Relation(_Record):
     x < p, and every atom x is equivalent to base[x % p].  Every entry of base
     is below p, so each class of base on Z/p lifts to exactly one class on
     Z/n, and a rotation family's relation costs p numbers, not n.
-    Relation(space, parent) is the case p = n.
+    The constructor checks base on Z/p in O(p) and stores it without lifting.
     """
 
     _fields = ("space", "base")
@@ -319,28 +319,15 @@ class Relation(_Record):
     def __init__(self, space: FiniteSpace, base: list[int]):
         self.space = space
         self.base = b = base
-        n = space.n
-        if len(b) != n:
-            raise ModelError(f"representative array has length {len(b)}, space has {n} atoms")
-        for x in range(n):
+        p, n = len(b), space.n
+        if p == 0 or n % p:
+            raise ModelError(f"representative array has length {p}, space has {n} atoms")
+        for x in range(p):
             r = b[x]
             if not 0 <= r <= x:
                 raise ModelError(f"atom {x}: representative {r} is not an atom <= {x}")
             if b[r] != r:
                 raise ModelError(f"atom {x}: representative {r} is not its own representative")
-
-    @classmethod
-    def periodic(cls, space: FiniteSpace, base: list[int]) -> "Relation":
-        """The relation with parent[x] = base[x % p], p = len(base) dividing n.
-
-        base is checked as a canonical relation on Z/p in O(p) and stored
-        without lifting.
-        """
-        p = len(base)
-        if p == 0 or space.n % p:
-            raise ModelError(f"period {p} does not divide n={space.n}")
-        cls(FiniteSpace(p), base)  # the check on Z/p, discarded once it passes
-        return _built(cls, space, base)
 
     @property
     def parent(self) -> list[int]:

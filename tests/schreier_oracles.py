@@ -28,7 +28,7 @@ def modeled_factor_cost(order: int) -> Fraction:
     atoms or more classes of the same size give the same value.
     """
     space = relcore.FiniteSpace(order or 1)
-    rel = relcore.Relation.periodic(space, [0])
+    rel = relcore.Relation(space, [0])
     if order == 0:
         return relcore.cost(relcore.Graphing(space, [relcore.single_full_generator(rel)]))
     return relcore.min_cost(rel)

@@ -39,13 +39,8 @@ def assert_rebuilds(obj):
     """Oracle: the public constructor accepts obj's fields and stores them unchanged."""
     values = [getattr(obj, name) for name in obj._fields]
     assert vars(obj).keys() == set(obj._fields)
-    if isinstance(obj, Relation):
-        again = Relation(obj.space, obj.parent)
-        assert again.parent == obj.parent
-        assert Relation.periodic(obj.space, obj.base).base == obj.base
-    else:
-        again = type(obj)(*values)
-        assert [getattr(again, name) for name in again._fields] == values
+    again = type(obj)(*values)
+    assert [getattr(again, name) for name in again._fields] == values
 
 
 def assert_graphing_rebuilds(g):
@@ -79,7 +74,7 @@ def relations(draw):
         return Relation.from_classes(*draw(class_lists()))
     space, groups = draw(class_lists(max_n=8))
     base = Relation.from_classes(space, groups).base
-    return Relation.periodic(FiniteSpace(space.n * draw(st.integers(1, 4))), base)
+    return Relation(FiniteSpace(space.n * draw(st.integers(1, 4))), base)
 
 
 @st.composite

@@ -1468,12 +1468,13 @@ def on_alarm(*args):
 
 signal.signal(signal.SIGALRM, on_alarm)
 for line in sys.stdin:
-    err = io.StringIO()
+    argv, encoding = json.loads(line)
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
     signal.alarm(20)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    try:  # main encodes the report to out's buffer, as it does to a process's stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(json.loads(line))
+                code = main(argv)
             except SystemExit as e:
                 code = e.code or 0
         answer = {"code": code, "err": err.getvalue()}
@@ -1509,7 +1510,8 @@ SWAPPED_SCALARS = [10**12, 2**64, 10**40, -1, -10**12, True, False, 0.5, 1e300, 
 
 @st.composite
 def mutated_docs(draw, doc):
-    """doc after up to three mutations: a scalar swapped, a list truncated or nested, a key dropped."""
+    """doc after up to three mutations: a scalar swapped, a list truncated or nested, a key
+    dropped or renamed to a name an encoding may lack (step names are keys)."""
     doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(0, 3))):
         path = draw(st.sampled_from(list(_nodes(doc))))
@@ -1519,8 +1521,9 @@ def mutated_docs(draw, doc):
         if isinstance(node, list):
             node = draw(st.sampled_from([node[:draw(st.integers(0, len(node)))], [node]]))
         elif isinstance(node, dict):
-            dropped = draw(st.sampled_from(list(node))) if node else None
-            node = {k: v for k, v in node.items() if k != dropped}
+            picked = draw(st.sampled_from(list(node))) if node else None
+            name = draw(st.sampled_from([None, "\ud800", "é"]))  # None drops the key
+            node = {name if k == picked else k: v for k, v in node.items() if k != picked or name}
         else:
             node = draw(st.sampled_from(SWAPPED_SCALARS))
         if not path:
@@ -1541,7 +1544,8 @@ FLAG_VALUES = st.one_of(
 
 @st.composite
 def fuzzed_commands(draw):
-    """A golden argv with its flag values swapped, its flags dropped and its files mutated."""
+    """A golden argv with its flag values swapped, its flags dropped and its files mutated,
+    and the encoding of the stdout it is written to."""
     argv, _ = draw(st.sampled_from(GOLDEN_STDOUT))
     out, files = [], {}
     tokens = iter(argv)
@@ -1555,21 +1559,29 @@ def fuzzed_commands(draw):
             name = token.strip("{}")
             files[name] = draw(mutated_docs(GOLDEN_DOCS[name]))
         out.append(token)
-    return out, files
+    return out, files, draw(st.sampled_from(["utf-8", "ascii"]))
+
+
+def rotation_with_step(name) -> dict:
+    return {"n": 5, "steps": {"a": 1, name: 2}, "full": "a", "arc": [0, 2]}
 
 
 @settings(max_examples=300, deadline=None)
 @given(fuzzed_commands())
+@example((["rotation-demo", "{rotation}", "--x", "1"], {"rotation": rotation_with_step("\ud800")},
+          "utf-8"))
+@example((["rotation-demo", "{rotation}", "--x", "1"], {"rotation": rotation_with_step("é")},
+          "ascii"))
 def test_fuzzed_verbs_flags_and_files_exit_cleanly(tmp_path_factory, fuzz_child, case):
     """Every verb, with mutated flags and golden files, answers or refuses in one clean way.
 
     Exit 0 writes nothing to stderr, exit 1 writes one error line and exit 2 is argparse's
     usage text.  A traceback, a run past the alarm or a memory error fails the case.
     """
-    argv, docs = case
+    argv, docs, encoding = case
     root = tmp_path_factory.mktemp("fuzz")
     paths = {name: write_doc(root / f"{name}.json", doc) for name, doc in docs.items()}
-    fuzz_child.stdin.write(json.dumps([a.format(**paths) for a in argv]) + "\n")
+    fuzz_child.stdin.write(json.dumps([[a.format(**paths) for a in argv], encoding]) + "\n")
     fuzz_child.stdin.flush()
     answer = json.loads(fuzz_child.stdout.readline() or '{"crash": "the child died"}')
     assert "crash" not in answer, answer["crash"]
@@ -1577,6 +1589,44 @@ def test_fuzzed_verbs_flags_and_files_exit_cleanly(tmp_path_factory, fuzz_child,
     kind = ("empty" if not err else "usage" if err.startswith("usage: ")
             else "error line" if err.startswith("error: ") and err.count("\n") == 1 else err)
     assert (code, kind) in {(0, "empty"), (1, "error line"), (2, "usage")}
+
+
+def run_in_shell(argv, redirect="", **env):
+    """Run `sh -c 'exec python -m orbitcost ARGV REDIRECT'`, one process; (code, out, err) bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitcost.__file__).parents[1]), **env}
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                           "orbitcost", *argv], capture_output=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# the first golden argv of each verb; every golden answers, so each has a report to write
+FIRST_GOLDENS = {argv[0]: argv for argv, _ in reversed(GOLDEN_STDOUT)}
+
+
+@pytest.mark.parametrize("argv", [*FIRST_GOLDENS.values(), ["cost", "{missing}"]],
+                         ids=[*FIRST_GOLDENS, "cost-missing-file"])
+def test_a_stdout_closed_at_start_is_one_error_line(golden_files, tmp_path, argv):
+    # fd 1 is closed before the interpreter starts, so sys.stdout is None: a report is
+    # one write error, and a refusal is its own error line alone
+    missing = tmp_path / "missing.json"
+    code, out, err = run_in_shell([a.format(missing=missing, **golden_files) for a in argv], ">&-")
+    line = (f"error: {missing}: No such file or directory\n" if "{missing}" in argv
+            else "error: cannot write the report: Bad file descriptor\n")
+    assert (code, out, err) == (1, b"", line.encode())
+
+
+@pytest.mark.parametrize("name, encoding, shown", [
+    ("\ud800", "utf-8:strict", rb"\ud800"),
+    ("é", "ascii", rb"\xe9"),
+    # surrogateescape wrote this one as the raw byte 0xff; it is escaped like the rest now
+    ("\udcff", "utf-8:surrogateescape", rb"\udcff"),
+], ids=["lone-surrogate", "e-acute-on-ascii", "escaped-byte"])
+def test_a_name_stdout_cannot_encode_prints_its_escape(tmp_path, name, encoding, shown):
+    path = write_doc(tmp_path / "rot.json", rotation_with_step(name))
+    code, out, err = run_in_shell(["rotation-demo", path, "--x", "1"], PYTHONIOENCODING=encoding)
+    assert (code, err) == (0, b"")
+    assert out == (b"command: rotation-demo\nstart: 1\nend: 3\nlength: 1\nhit: 1\nsegments:\n"
+                   b"  step  power  count\n  " + shown + b"     1      1\n")
 
 
 def test_cli_runs_on_the_standard_library_alone():

@@ -411,7 +411,7 @@ def test_brute_force_refuses_a_large_universe_from_the_base(monkeypatch):
         raise AssertionError("the relation was lifted to its n atoms")
     monkeypatch.setattr(Relation, "classes", lifted)
     monkeypatch.setattr(Relation, "parent", property(lifted))
-    r = Relation.periodic(FiniteSpace(10**6), [0])
+    r = Relation(FiniteSpace(10**6), [0])
     with pytest.raises(EdgeBudgetError,
                        match=r"^edge universe has 499999500000 pairs, the budget is 20$"):
         brute_force_min_cost(r)
@@ -461,7 +461,7 @@ def periodic_relations(draw, max_p=8, max_copies=4, min_copies=1):
     labels = draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
     first: dict[int, int] = {}
     base = [first.setdefault(lab, x) for x, lab in enumerate(labels)]
-    return Relation.periodic(FiniteSpace(p * draw(st.integers(min_copies, max_copies))), base)
+    return Relation(FiniteSpace(p * draw(st.integers(min_copies, max_copies))), base)
 
 
 @st.composite

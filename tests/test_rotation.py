@@ -1,6 +1,7 @@
 """Rotation systems: shift views and hitting times against explicit oracles, path identities."""
 import math
 import random
+import re
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -218,9 +219,10 @@ def test_partial_map_rejects_a_view_on_another_space():
 
 
 def test_periodic_relation_lifts_its_base():
-    r = Relation.periodic(FiniteSpace(12), [0, 0, 2, 0])
+    r = Relation(FiniteSpace(12), [0, 0, 2, 0])
     assert r.base == [0, 0, 2, 0] and r.parent == [0, 0, 2, 0] * 3
     assert r.parent == Relation(FiniteSpace(12), r.parent).parent
+    assert not hasattr(Relation, "periodic")  # the constructor takes any period dividing n
 
 
 @pytest.mark.parametrize("n, base", [
@@ -232,7 +234,7 @@ def test_periodic_relation_lifts_its_base():
 ])
 def test_periodic_relation_rejections(n, base):
     with pytest.raises(ModelError):
-        Relation.periodic(FiniteSpace(n), base)
+        Relation(FiniteSpace(n), base)
 
 
 def assert_same_as_oracle(g, oracle, sys):
@@ -351,7 +353,7 @@ def test_periodic_relation_matches_lifted_oracle(case, period_pick, labels):
     periods = [d for d in range(1, n + 1) if n % d == 0]
     p = periods[period_pick % len(periods)]
     first: dict[int, int] = {}
-    r = Relation.periodic(space, [first.setdefault(labels[x % len(labels)], x) for x in range(p)])
+    r = Relation(space, [first.setdefault(labels[x % len(labels)], x) for x in range(p)])
     parent = lift(r)
     twin = Relation(space, parent)
     reps = [x for x in range(n) if parent[x] == x]
@@ -376,6 +378,47 @@ def test_periodic_relation_matches_lifted_oracle(case, period_pick, labels):
 def test_relation_of_wrong_length_keeps_its_message():
     with pytest.raises(ModelError, match=r"^representative array has length 2, space has 3 atoms$"):
         Relation(FiniteSpace(3), [0, 0])
+
+
+def lifted_relation_check(n, base):
+    """Oracle: base lifted to n entries and checked atom by atom; None or the error text."""
+    p = len(base)
+    if p == 0 or n % p:
+        return f"representative array has length {p}, space has {n} atoms"
+    parent = [base[x % p] for x in range(n)]
+    for x in range(n):
+        r = parent[x]
+        if not 0 <= r <= x:
+            return f"atom {x}: representative {r} is not an atom <= {x}"
+        if parent[r] != r:
+            return f"atom {x}: representative {r} is not its own representative"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 30), st.lists(st.integers(0, 29), max_size=30),
+       st.sampled_from(["divisor", "any length"]),
+       st.none() | st.tuples(st.integers(0, 29), st.integers(-1, 30)))
+@example(12, 0, [], "any length", None)         # empty: no period
+@example(12, 5, [0] * 5, "any length", None)    # 5 does not divide 12
+@example(12, 2, [0, 0, 2], "divisor", (1, 2))   # [0, 2, 2]: representative above its atom
+@example(12, 2, [0, 0, 2], "divisor", (2, 1))   # [0, 0, 1]: 1 is not its own representative
+@example(12, 4, [0, 0, 2, 0], "divisor", None)  # a period dividing n, stored unlifted
+def test_relation_accepts_exactly_canonical_bases_of_a_dividing_length(n, pick, labels, length,
+                                                                       edit):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    p = divisors[pick % len(divisors)] if length == "divisor" else pick
+    first: dict[int, int] = {}
+    base = [first.setdefault(labels[x] if x < len(labels) else x, x) for x in range(p)]
+    if edit is not None and base:
+        base[edit[0] % p] = edit[1]
+    expected = lifted_relation_check(n, base)
+    if expected is None:
+        r = Relation(FiniteSpace(n), base)
+        assert r.base is base and r.parent == [base[x % p] for x in range(n)]
+    else:
+        with pytest.raises(ModelError, match=f"^{re.escape(expected)}$"):
+            Relation(FiniteSpace(n), base)
 
 
 def test_curve_at_a_trillion_atoms_stores_the_period_only():
