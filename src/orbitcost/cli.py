@@ -366,9 +366,11 @@ def _scalar(value) -> str:
     return json.dumps(value, sort_keys=True, default=fmt_rational)
 
 
-def _table(rows: list[dict]) -> list[str]:
+def _table(rows: list[dict], encoding: str) -> list[str]:
+    """Aligned rows; each cell pads by its text as written, escaped where encoding lacks."""
     cols = list(rows[0].keys())
-    cells = [[_scalar(row[c]) for c in cols] for row in rows]
+    cells = [[_scalar(row[c]).encode(encoding, "backslashreplace").decode(encoding) for c in cols]
+             for row in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)]
     lines = ["  " + "  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip()]
     for row in cells:
@@ -412,8 +414,11 @@ def _json(value, indent: str, out: list) -> None:
     out.append(f"\n{indent}{brackets[1]}")
 
 
-def render(report: dict, fmt: str) -> str:
-    """The one place a ratio becomes text: every Fraction prints as fmt_rational's p/q."""
+def render(report: dict, fmt: str, encoding: str = "utf-8") -> str:
+    """The one place a ratio becomes text: every Fraction prints as fmt_rational's p/q.
+
+    A text table is laid out for the encoding the text will be written in.
+    """
     if fmt == "json":
         out = []
         _json(report, "", out)
@@ -423,7 +428,7 @@ def render(report: dict, fmt: str) -> str:
     for key, value in report.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{key}:")
-            lines.extend(_table(value))
+            lines.extend(_table(value, encoding))
         elif isinstance(value, dict):
             lines.append(f"{key}:")
             for k2, v2 in value.items():
@@ -436,8 +441,9 @@ def render(report: dict, fmt: str) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
     try:
-        text = render({"command": ns.command, **ns.func(ns)}, ns.format)
+        text = render({"command": ns.command, **ns.func(ns)}, ns.format, encoding)
     except relcore.ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -450,7 +456,7 @@ def main(argv=None) -> int:
     # PYTHONUNBUFFERED=1 makes this the raw file, whose write may take only part of the bytes
     sys.stdout.flush()
     # a name the encoding lacks prints as its escape, as --format json's ensure_ascii does
-    data = memoryview(text.encode(sys.stdout.encoding, "backslashreplace"))
+    data = memoryview(text.encode(encoding, "backslashreplace"))
     while data:
         taken = out.write(data)
         if not taken:  # None: a non-blocking stdout is full

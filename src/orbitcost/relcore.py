@@ -82,7 +82,7 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values() == other._values()
-        return NotImplemented
+        return super().__eq__(other)  # object's NotImplemented; a view's Mapping.__eq__
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -182,29 +182,33 @@ class Arc(_Frozen):
         return list(chain(*self.runs(n)))
 
 
-class ShiftMapping(Mapping):
-    """Read-only view of x -> x + step (mod n) on the atoms of an arc.
+class ShiftMapping(Arc, Mapping):
+    """Read-only view of x -> x + step (mod n) on the atoms of an arc: an Arc with n and a step.
 
     Nothing is materialised: lookups, membership and len are O(1) and the
     arc is iterated lazily in the order start, start+1, ...  A shift is
-    injective on any arc, so no entry ever needs checking.
+    injective on any arc, so no entry ever needs checking.  A view equals
+    another by its fields and any other mapping by its entries.
     """
 
-    __slots__ = ("n", "step", "arc")
+    __slots__ = ("n", "step")
+    _fields = ("n", "step", "start", "length")
 
     def __init__(self, n: int, step: int, start: int, length: int):
-        if n < 1:
-            raise ModelError(f"a shift view needs n >= 1, got {n}")
-        self.arc = Arc(start, length)
-        self.arc.check(n)
-        self.n = n
-        self.step = step % n
+        if not (0 <= start < n and 0 <= length <= n):  # an Arc is built only to name the fault
+            if n < 1:
+                raise ModelError(f"a shift view needs n >= 1, got {n}")
+            Arc(start, length).check(n)
+        _set(self, "n", n)  # one stored form per entry set, so equal views hold equal entries:
+        _set(self, "step", step % n if length else 0)  # an empty arc has step 0 and start 0,
+        _set(self, "start", start if 0 < length < n else 0)  # and a full arc starts at 0
+        _set(self, "length", length)
 
     def __len__(self) -> int:
-        return self.arc.length
+        return self.length
 
     def __contains__(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x < self.n and self.arc.contains(x, self.n)
+        return isinstance(x, int) and 0 <= x < self.n and self.contains(x, self.n)
 
     def __getitem__(self, x: int) -> int:
         if x not in self:
@@ -212,7 +216,7 @@ class ShiftMapping(Mapping):
         return (x + self.step) % self.n
 
     def __iter__(self):
-        return chain(*self.arc.runs(self.n))
+        return chain(*self.runs(self.n))
 
 
 class PartialMap(_Record):
@@ -275,7 +279,7 @@ class PartialMap(_Record):
 
     def inverse(self) -> "PartialMap":
         m = self.mapping  # a view's inverse is x -> x - step on the shifted arc, in O(1)
-        inverse = (ShiftMapping(m.n, -m.step, (m.arc.start + m.step) % m.n, m.arc.length)
+        inverse = (ShiftMapping(m.n, -m.step, (m.start + m.step) % m.n, m.length)
                    if isinstance(m, ShiftMapping) else {y: x for x, y in m.items()})
         return _built(PartialMap, f"{self.name}_inv", self.space, inverse)
 
@@ -332,17 +336,14 @@ class Relation(_Record):
     @property
     def parent(self) -> list[int]:
         """parent[x] is the least atom equivalent to x; a fresh n-entry lift per access."""
-        return self._lifted(self.space.n)
-
-    def _lifted(self, m: int) -> list[int]:
-        """base repeated to m entries, for a multiple m of its period."""
-        return self.base * (m // len(self.base))
+        return self.base * (self.space.n // len(self.base))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        m = math.lcm(len(self.base), len(other.base))
-        return self.space == other.space and self._lifted(m) == other._lifted(m)
+        a, b = self.base, other.base  # equal relations are invariant under both periods, so
+        d = math.gcd(len(a), len(b))  # under their gcd d: compare on Z/d, in O(p + q)
+        return self.space == other.space and a[:d] == b[:d] and a[d:] == a[:-d] and b[d:] == b[:-d]
 
     @classmethod
     def from_classes(cls, space: FiniteSpace, groups) -> "Relation":
@@ -351,7 +352,7 @@ class Relation(_Record):
             raise ModelError(f"a relation read from classes has at most {MAX_RELATION_ATOMS} "
                              f"atoms, got n={space.n}")
         parent = list(range(space.n))
-        seen = [False] * space.n
+        seen = bytearray(space.n)
         for group in groups:
             members = sorted(group)
             for x in members:
@@ -359,7 +360,7 @@ class Relation(_Record):
                     raise ModelError(f"class member {x} outside 0..{space.n - 1}")
                 if seen[x]:
                     raise ModelError(f"atom {x} listed in two classes")
-                seen[x] = True
+                seen[x] = 1
                 parent[x] = members[0]
         return _built(cls, space, parent)
 
@@ -411,7 +412,7 @@ class EdgeSet(_Frozen):
 
 def _entries(mapping: Mapping[int, int]) -> int:
     """len(mapping), which len() cannot return for a view of sys.maxsize atoms or more."""
-    return mapping.arc.length if isinstance(mapping, ShiftMapping) else len(mapping)
+    return mapping.length if isinstance(mapping, ShiftMapping) else len(mapping)
 
 
 def cost(g: Graphing) -> Fraction:
@@ -446,7 +447,7 @@ def nu(g: Graphing) -> Fraction:
     for m in g.maps:
         v = m.mapping
         if isinstance(v, ShiftMapping):
-            arcs.setdefault(v.step, []).extend([run.start, run.stop] for run in v.arc.runs(n))
+            arcs.setdefault(v.step, []).extend([run.start, run.stop] for run in v.runs(n))
         else:
             pairs.update(v.items())
     covered = {step: _merged(intervals) for step, intervals in arcs.items()}
@@ -489,7 +490,7 @@ def _quotient(g: Graphing) -> UnionFind:
     """
     n = g.space.n
     maps = [m.mapping for m in g.maps]
-    p = math.gcd(n, *(m.step for m in maps if isinstance(m, ShiftMapping) and m.arc.length == n))
+    p = math.gcd(n, *(m.step for m in maps if isinstance(m, ShiftMapping) and m.length == n))
     _check_atom_count(p)
     uf = UnionFind(p)
     for m in maps:
@@ -498,8 +499,8 @@ def _quotient(g: Graphing) -> UnionFind:
                 uf.union_all(m.keys(), m.values())
             else:
                 uf.union_all([x % p for x in m], [y % p for y in m.values()])
-        elif m.arc.length < n:  # min(length, p) entries: few once a full view makes p small
-            for x in range(m.arc.start, m.arc.start + min(m.arc.length, p)):
+        elif m.length < n:  # min(length, p) entries: few once a full view makes p small
+            for x in range(m.start, m.start + min(m.length, p)):
                 uf.union(x % p, (x + m.step) % p)
     return uf
 

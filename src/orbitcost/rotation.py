@@ -64,6 +64,15 @@ def full_graphing(sys: RotationSystem) -> Graphing:
                                     for name, s in sys.steps.items()])
 
 
+def _full_size(sys: RotationSystem, full_step: str) -> int:
+    """The size of the step kept full, once the family has another step to restrict."""
+    if len(sys.steps) < 2:
+        raise ModelError("need at least two steps to restrict against a full one")
+    if full_step not in sys.steps:
+        raise ModelError(f"no step named {full_step!r}")
+    return sys.steps[full_step]
+
+
 def epsilon_graphing(sys: RotationSystem, full_step: str, arc: Arc) -> Graphing:
     """Keep one step everywhere and restrict every other step to the arc.
 
@@ -72,20 +81,12 @@ def epsilon_graphing(sys: RotationSystem, full_step: str, arc: Arc) -> Graphing:
     restricted jump can be reached through the arc.  Every map is a shift
     view, so building the graphing takes O(k) whatever n is.
     """
-    if len(sys.steps) < 2:
-        raise ModelError("need at least two steps to restrict against a full one")
-    if full_step not in sys.steps:
-        raise ModelError(f"no step named {full_step!r}")
-    space = sys.space
-    n = sys.n
-    maps = []
-    for name, s in sys.steps.items():
-        if name == full_step:
-            view = ShiftMapping(n, s, 0, n)
-        else:
-            view = ShiftMapping(n, s, arc.start, arc.length)
-        maps.append(_built(PartialMap, name, space, view))
-    return _built(Graphing, space, maps)
+    _full_size(sys, full_step)
+    space, n = sys.space, sys.n
+    return _built(Graphing, space, [_built(PartialMap, name, space,
+                                           ShiftMapping(n, s, 0, n) if name == full_step
+                                           else ShiftMapping(n, s, arc.start, arc.length))
+                                    for name, s in sys.steps.items()])
 
 
 def _least_iterate(a: int, b: int, n: int, width: int) -> int | None:
@@ -215,13 +216,9 @@ def cost_epsilon_curve(sys: RotationSystem, full_step: str, eps_values) -> CostC
     when it has g classes: at once if g == p = gcd(n, full step) or the arc meets all p
     residues, else as counted on the row's Z/p union-find.  Infimum 1 only when p == 1.
     """
-    if len(sys.steps) < 2:
-        raise ModelError("need at least two steps to restrict against a full one")
-    if full_step not in sys.steps:
-        raise ModelError(f"no step named {full_step!r}")
+    p = math.gcd(sys.n, _full_size(sys, full_step))
     epsilons = [_exact_eps(value) for value in eps_values]
     g = math.gcd(sys.n, *sys.steps.values())
-    p = math.gcd(sys.n, sys.steps[full_step])
     rows = []
     for eps in epsilons:
         arc_len = -(-eps.numerator * sys.n // eps.denominator)  # ceil(eps * n)

@@ -26,6 +26,7 @@ from orbitcost import (
     Relation,
     RotationSystem,
     Segment,
+    ShiftMapping,
     Subset,
 )
 from orbitcost.files import RotationDoc, SchreierDoc
@@ -40,6 +41,8 @@ SYSTEM = RotationSystem(5, {"a": 1, "b": 2})
 FROZEN = [
     (FiniteSpace, {"n": 3}, {"n": 4}),
     (Arc, {"start": 1, "length": 2}, {"start": 0, "length": 3}),
+    (ShiftMapping, {"n": 5, "step": 1, "start": 2, "length": 3},
+     {"n": 6, "step": 2, "start": 1, "length": 2}),
     (Subset, {"space": S3, "members": frozenset({0, 2})},
      {"space": S4, "members": frozenset({1})}),
     (EdgeSet, {"space": S3, "edges": frozenset({(0, 1)})},
@@ -85,7 +88,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
 def test_every_class_is_covered():
-    assert len(FROZEN) == 10 and len(MUTABLE) == 9 and len(set(IDS)) == 19
+    assert len(FROZEN) == 11 and len(MUTABLE) == 9 and len(set(IDS)) == 20
 
 
 @pytest.mark.parametrize("cls, kwargs, others", CASES, ids=IDS)

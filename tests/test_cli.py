@@ -973,7 +973,7 @@ def graphing_doc(g: relcore.Graphing) -> dict:
         v = m.mapping
         if isinstance(v, relcore.ShiftMapping):
             maps.append({"name": m.name, "rotation": v.step,
-                         "domain": {"arc": [v.arc.start, v.arc.length]}})
+                         "domain": {"arc": [v.start, v.length]}})
         else:
             maps.append({"name": m.name, "pairs": [list(pair) for pair in m.pairs()]})
     return {"space": {"n": g.space.n}, "maps": maps}
@@ -1416,6 +1416,23 @@ def test_restrict_map_of_a_trillion_atom_view_reads_only_the_subset():
     assert (code, out, err) == (0, "[(0, 1), (5, 6), (999, 1000)]\n", "")
 
 
+def test_trillion_atom_views_and_relations_compare_by_what_they_store():
+    # views compare their fields; relations compare their bases on Z/gcd(p, q), where the
+    # lift to lcm(4096, 5**9) = 8 * 10**9 entries runs out of memory
+    code, out, err = run_capped_python([
+        "-c", "from orbitcost import *\n"
+              "n = 10**12\n"
+              "print(full_graphing(RotationSystem(n, {'a': 1})) == "
+              "full_graphing(RotationSystem(n, {'a': 1})))\n"
+              "space = FiniteSpace(n)\n"
+              "twos = Relation(space, [0] * 4096)\n"
+              "fives = Relation(space, [x % 5 for x in range(5**9)])\n"
+              "print(twos == fives, fives == twos)\n"
+              "print(twos == Relation(space, [0]), fives == Relation(space, list(range(5))))\n"
+              "print(twos == Relation(space, twos.base * 5), fives == Relation(space, fives.base * 2))"])
+    assert (code, out, err) == (0, "True\nFalse False\nTrue True\nTrue True\n", "")
+
+
 def test_infinite_dihedral_at_a_million_cosets_in_bounded_memory():
     # (2,2) is drawn as one shuffled cycle, so no attempt cap stops it at any even index
     assert run_capped(["schreier-rank", "--factors", "2,2", "--index", "1000000"]) == (
@@ -1625,8 +1642,11 @@ def test_a_name_stdout_cannot_encode_prints_its_escape(tmp_path, name, encoding,
     path = write_doc(tmp_path / "rot.json", rotation_with_step(name))
     code, out, err = run_in_shell(["rotation-demo", path, "--x", "1"], PYTHONIOENCODING=encoding)
     assert (code, err) == (0, b"")
+    # the step column is as wide as the escape it prints
+    width = max(len(b"step"), len(shown))
     assert out == (b"command: rotation-demo\nstart: 1\nend: 3\nlength: 1\nhit: 1\nsegments:\n"
-                   b"  step  power  count\n  " + shown + b"     1      1\n")
+                   b"  " + b"step".ljust(width) + b"  power  count\n  "
+                   + shown.ljust(width) + b"  1      1\n")
 
 
 def test_cli_runs_on_the_standard_library_alone():

@@ -8,18 +8,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcost import (
+    Arc,
     EdgeBudgetError,
     FiniteSpace,
     Graphing,
+    GroupSpec,
     ModelError,
     NotInSameCycleError,
     PartialMap,
+    PermAction,
     Relation,
+    RotationSystem,
     ShiftMapping,
     Subset,
     brute_force_min_cost,
     compression_sides,
+    connection_path,
     cost,
+    first_hitting_time,
     first_return_map,
     generated_relation,
     generates,
@@ -441,6 +447,108 @@ def brute_force_per_class(r, edge_budget=20):
                 total += k
                 break
     return r.space.measure(total)
+
+
+# ---------------------------------------------------------------- preconditions
+
+S3, S4 = FiniteSpace(3), FiniteSpace(4)
+CYCLE3 = PartialMap("a", S3, {0: 1, 1: 2, 2: 0})
+SINGLETONS3 = Relation(S3, [0, 1, 2])
+ROTATION5 = RotationSystem(5, {"a": 1, "b": 2})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: first_return_map(CYCLE3, Subset(S4, {0})), "map and subset live on different spaces"),
+    (lambda: restrict_map(Graphing(S3, [CYCLE3]), "a", Subset(S4, {0})),
+     "graphing and subset live on different spaces"),
+    (lambda: restrict_relation(SINGLETONS3, Subset(S4, {0})),
+     "relation and subset live on different spaces"),
+    (lambda: restrict_relation(SINGLETONS3, Subset(S3, set())),
+     "cannot restrict to the empty subset"),
+    (lambda: compression_sides(SINGLETONS3, Subset(S4, {0})),
+     "relation and subset live on different spaces"),
+    (lambda: RotationSystem(0, {"a": 1}), "a rotation system needs n >= 1, got 0"),
+    (lambda: RotationSystem(5, {"": 1}), "step name '' must be a nonempty string"),
+    (lambda: RotationSystem(5, {1: 1}), "step name 1 must be a nonempty string"),
+    (lambda: first_hitting_time(0, 1, 0, Arc(0, 0)), "modulus must be positive, got 0"),
+    (lambda: connection_path(ROTATION5, "a", "z", Arc(0, 2), 1), "no step named 'z'"),
+    (lambda: PermAction(GroupSpec((2, 3)), 0, []), "index must be positive, got 0"),
+    (lambda: PermAction(GroupSpec((2, 3)), 6, [[1, 0, 3, 2, 5, 4]]),
+     "2 factors but 1 permutations"),
+], ids=["first-return-spaces", "restrict-map-spaces", "restrict-relation-spaces",
+        "restrict-relation-empty", "compression-spaces", "rotation-n", "rotation-empty-name",
+        "rotation-int-name", "hitting-modulus", "path-restricted-step", "action-index",
+        "action-perm-count"])
+def test_each_precondition_names_its_fault(build, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+# ---------------------------------------------------------------- equality
+
+@st.composite
+def view_pairs(draw, max_n=40):
+    """Arguments of two shift views on one n; the second often the first's entries again."""
+    n = draw(st.integers(1, max_n))
+    steps = st.integers(-2 * n, 2 * n)  # negative steps and steps past n too
+    length = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    first = (n, draw(steps), draw(st.integers(0, n - 1)), length)
+    if draw(st.booleans()):
+        # the same entries: the step moved by a multiple of n (any step on an empty arc),
+        # and any start on a full or empty arc
+        step = first[1] + n * draw(st.integers(-2, 2))
+        start = first[2] if 0 < length < n else draw(st.integers(0, n - 1))
+        return first, (n, step if length else draw(steps), start, length)
+    length = draw(st.one_of(st.just(length), st.integers(0, n)))
+    return first, (n, draw(steps), draw(st.integers(0, n - 1)), length)
+
+
+@given(view_pairs())
+@example(((12, 5, 7, 12), (12, -7, 0, 12)))  # full arcs from different starts
+@example(((12, 3, 4, 0), (12, 5, 9, 0)))  # empty arcs: no entries, whatever step and start
+@example(((1, 0, 0, 1), (1, 7, 0, 1)))  # n = 1
+@example(((10, -3, 8, 4), (10, 17, 8, 4)))  # a negative step and a step past n
+@example(((10, 3, 8, 4), (10, 3, 9, 4)))
+def test_view_equality_is_equality_of_entries(args):
+    a, b = ShiftMapping(*args[0]), ShiftMapping(*args[1])
+    same = dict(a.items()) == dict(b.items())
+    assert (a == b) == (b == a) == (not a != b) == same
+    assert (a == dict(b.items())) == (dict(a.items()) == b) == same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@st.composite
+def relation_pairs(draw, max_n=36):
+    """Two relations on one n, each stored at a period dividing n; often one relation twice."""
+    n = draw(st.integers(1, max_n))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+
+    def stored(labels):  # labels repeat with period len(labels); stored at a multiple of it
+        p = draw(st.sampled_from([d for d in divisors if d % len(labels) == 0]))
+        first: dict[int, int] = {}
+        return Relation(FiniteSpace(n), [first.setdefault(labels[x % len(labels)], x)
+                                         for x in range(p)])
+
+    def labels():
+        t = draw(st.sampled_from(divisors))
+        return draw(st.lists(st.integers(0, 3), min_size=t, max_size=t))
+
+    shared = labels()
+    return stored(shared), stored(shared if draw(st.booleans()) else labels())
+
+
+@given(relation_pairs())
+@example((Relation(FiniteSpace(12), [0, 1, 0, 1]), Relation(FiniteSpace(12), [0, 1] * 3)))
+@example((Relation(FiniteSpace(12), [0, 0, 2, 0]), Relation(FiniteSpace(12), [0, 0, 2, 0, 0, 0])))
+@example((Relation(FiniteSpace(12), [0] * 4), Relation(FiniteSpace(12), [0, 1, 0, 1, 0, 1])))
+def test_relation_equality_is_equality_of_parents(pair):
+    a, b = pair
+    assert (a == b) == (b == a) == (not a != b) == (a.parent == b.parent)
+
+
+def test_relations_on_different_spaces_differ():
+    assert Relation(FiniteSpace(2), [0]) != Relation(FiniteSpace(4), [0])
 
 
 # ---------------------------------------------------------------- properties

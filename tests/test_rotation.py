@@ -155,10 +155,14 @@ def test_epsilon_graphing_cost_example():
 
 
 def test_epsilon_graphing_needs_two_steps():
-    with pytest.raises(ModelError):
-        epsilon_graphing(RotationSystem(5, {"a": 1}), "a", Arc(0, 1))
-    with pytest.raises(ModelError, match="no step named"):
-        epsilon_graphing(RotationSystem(5, {"a": 1, "b": 2}), "zz", Arc(0, 1))
+    # the graphing and the curve refuse by one rule, with one text
+    for build in (lambda sys, full: epsilon_graphing(sys, full, Arc(0, 1)),
+                  lambda sys, full: cost_epsilon_curve(sys, full, ["1/2"])):
+        with pytest.raises(ModelError,
+                           match="^need at least two steps to restrict against a full one$"):
+            build(RotationSystem(5, {"a": 1}), "a")
+        with pytest.raises(ModelError, match="^no step named 'zz'$"):
+            build(RotationSystem(5, {"a": 1, "b": 2}), "zz")
 
 
 def test_epsilon_graphing_rejects_an_arc_past_n():
