@@ -76,14 +76,10 @@ _arc = _flag(_arc_text, "an arc is written start:length, got %r")
 
 
 def _subset(space: relcore.FiniteSpace, ns) -> relcore.Subset:
-    """The subset named by --members or --arc; an arc is bounded before its atoms are listed."""
+    """The subset named by --members or --arc; an arc stays an arc, with no atom listed."""
     if (ns.members is None) == (ns.arc is None):
         raise relcore.ModelError("give exactly one of --members or --arc")
-    if ns.members is not None:
-        return relcore.Subset(space, ns.members)
-    ns.arc.check(space.n)
-    relcore.check_restriction_size(ns.arc.length)
-    return relcore.Subset(space, ns.arc.atoms(space.n))
+    return relcore.Subset(space, ns.members if ns.members is not None else ns.arc)
 
 
 def build_parser() -> argparse.ArgumentParser:

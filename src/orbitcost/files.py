@@ -7,6 +7,7 @@ in input files are read as their decimal text, never as binary floats.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -14,6 +15,9 @@ from itertools import chain
 from .relcore import (MAX_DECIMAL_EXPONENT, Arc, FiniteSpace, FormatError,  # noqa: F401
                       Graphing, ModelError, PartialMap, Relation, ShiftMapping,
                       _Record, parse_rational)
+
+# Characters read from one input: the worst verb on the largest file peaks under 1 GiB.
+MAX_INPUT_CHARS = 16_000_000
 
 
 def fmt_rational(value) -> str:
@@ -29,12 +33,14 @@ def fmt_rational(value) -> str:
 
 def _load_json(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:  # read(k) sizes its buffer by k: the size bounds k
+            text = fh.read(min(os.path.getsize(path) or MAX_INPUT_CHARS, MAX_INPUT_CHARS) + 1)
     except OSError as e:
         raise FormatError(f"{path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not valid UTF-8 ({e.reason})") from None
+    if len(text) > MAX_INPUT_CHARS:
+        raise FormatError(f"{path}: an input file holds at most {MAX_INPUT_CHARS} characters")
     try:
         return json.loads(text, parse_float=str)
     except json.JSONDecodeError as e:

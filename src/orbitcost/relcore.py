@@ -40,9 +40,9 @@ MAX_DECIMAL_EXPONENT = 10_000
 # _quotient, on n in reduce_to_treeing) or spanning_treeing's per-atom chain holds, and
 # that a cycle walk may visit: orbit_exponent and first_return_map walk up to n atoms.
 MAX_RELATION_ATOMS = 10_000_000
-# Atoms that single_full_generator and restrict_relation build one by one, and that cli
-# lists from an arc.  Under a 1.5 GB address-space limit a single-gen process peaks at about
-# 1.1 GB on 4*10**6 atoms (compress, listing its arc, at 0.77 GB) and fails at 6*10**6.
+# Atoms that single_full_generator builds one by one, and that first_return_map, restrict_map
+# and restrict_relation list from a subset.  Under a 1.5 GB address-space limit a single-gen
+# process peaks at about 1.1 GB on 4*10**6 atoms and fails at 6*10**6.
 MAX_DERIVED_ATOMS = 4_000_000
 # Largest edge budget brute_force_min_cost accepts: the pair universe of one class of
 # 8 atoms, which scans in about 2 s.  Each further atom costs about 20 times more.
@@ -177,9 +177,6 @@ class Arc(_Frozen):
         """The atoms as two ascending ranges, split at the wrap point."""
         end = self.start + self.length
         return range(self.start, min(end, n)), range(max(end - n, 0))
-
-    def atoms(self, n: int) -> list[int]:
-        return list(chain(*self.runs(n)))
 
 
 class ShiftMapping(Arc, Mapping):
@@ -376,22 +373,24 @@ class Relation(_Record):
 
 
 class Subset(_Frozen):
-    """A set of atoms with its weight."""
+    """A set of atoms with its weight: a frozenset, or an Arc kept as its step-0 ShiftMapping."""
 
     __slots__ = _fields = ("space", "members")
 
-    def __init__(self, space: FiniteSpace, members: frozenset[int]):
+    def __init__(self, space: FiniteSpace, members: frozenset[int] | Arc):
         _set(self, "space", space)
-        _set(self, "members", frozenset(members))
-        if self.members:
-            low, high = min(self.members), max(self.members)
+        if isinstance(members, Arc):  # read on space, checked by Arc.check's texts, never listed
+            members = ShiftMapping(space.n, 0, members.start, members.length)
+        elif members := frozenset(members):
+            low, high = min(members), max(members)
             if low < 0 or high >= space.n:
                 raise ModelError(f"subset member {low if low < 0 else high} "
                                  f"outside 0..{space.n - 1}")
+        _set(self, "members", members)
 
     @property
     def measure(self) -> Fraction:
-        return self.space.measure(len(self.members))
+        return self.space.measure(_entries(self.members))
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -640,10 +639,11 @@ def first_return_map(psi: PartialMap, a: Subset) -> PartialMap:
     Within any single cycle the return times add up to the cycle length, so
     the induced map is a bijection of a onto itself.
     """
+    check_restriction_size(_entries(a.members))
     _require_permutation(psi)
     if psi.space != a.space:
         raise ModelError("map and subset live on different spaces")
-    if not a.members:
+    if not _entries(a.members):
         raise ModelError("first return needs a nonempty subset")
     _require_walk(psi.space)
     members = a.members
@@ -661,6 +661,7 @@ def restrict_map(g: Graphing, map_name: str, a: Subset) -> Graphing:
     """Shrink one map's domain to a, leaving the other maps alone."""
     if g.space != a.space:
         raise ModelError("graphing and subset live on different spaces")
+    check_restriction_size(_entries(a.members))
     m = g.map_named(map_name)
     kept = _built(PartialMap, m.name, g.space,
                   {x: m.mapping[x] for x in sorted(a.members) if x in m.mapping})
@@ -678,18 +679,13 @@ def restrict_relation(r: Relation, a: Subset) -> Relation:
     """The trace of r on a, re-indexed onto 0..|a|-1 in ascending atom order."""
     if r.space != a.space:
         raise ModelError("relation and subset live on different spaces")
-    if not a.members:
+    if not _entries(a.members):
         raise ModelError("cannot restrict to the empty subset")
-    check_restriction_size(len(a.members))
+    check_restriction_size(_entries(a.members))
     members = sorted(a.members)
     base, p = r.base, len(r.base)
-    first: dict[int, int] = {}
-    parent = []
-    for i, x in enumerate(members):
-        rep = base[x % p]
-        if rep not in first:
-            first[rep] = i
-        parent.append(first[rep])
+    first: dict[int, int] = {}  # representative -> index of its least atom in a
+    parent = [first.setdefault(base[x % p], i) for i, x in enumerate(members)]
     return _built(Relation, FiniteSpace(len(members)), parent)
 
 
@@ -702,13 +698,16 @@ def compression_sides(r: Relation, a: Subset) -> tuple[Fraction, Fraction]:
     """
     if r.space != a.space:
         raise ModelError("relation and subset live on different spaces")
-    base, p = r.base, len(r.base)
-    reps_met = {base[x % p] for x in a.members}
-    classes = r.class_count()
-    if len(reps_met) != classes:
-        missed = next(x for x, rep in enumerate(base) if x == rep and x not in reps_met)
+    base, p, members = r.base, len(r.base), a.members
+    classes = r.class_count()  # counted first, so its peak and met's do not add up
+    met = bytearray(p)  # an arc's first p atoms, read as a range, meet every residue it meets
+    for x in (range(members.start, members.start + min(members.length, p))
+              if isinstance(members, ShiftMapping) else members):
+        met[base[x % p]] = 1
+    if met.count(1) != classes:
+        missed = next(x for x, rep in enumerate(base) if x == rep and not met[x])
         raise ModelError(f"subset misses the class of atom {missed}")
-    lhs = Fraction(-classes, len(a.members))
+    lhs = Fraction(-classes, _entries(members))
     rhs = a.measure * (r.space.measure(r.space.n - classes) - 1)
     return lhs, rhs
 
@@ -717,16 +716,18 @@ def brute_force_min_cost(r: Relation, edge_budget: int = 20) -> Fraction:
     """Exhaustive minimum of nu over edge sets regenerating r.
 
     Edges can only join atoms of one class, and the least connecting edge
-    count of a class depends on its size alone, so each size above 1 is
-    searched once.  A class of t atoms in the base on Z/p lifts to one of
-    t*n/p atoms, so the sizes come from the base without building n entries.
+    count of a class depends on its size alone, so each size is searched
+    once.  A class of t atoms on Z/p lifts to t*n/p atoms, and t - 1 base
+    entries name its least atom, so the sizes need no count per atom.
     Refuses to run when the whole pair universe exceeds edge_budget, and refuses an
     edge_budget above MAX_EDGE_BUDGET before counting anything.
     """
     if edge_budget > MAX_EDGE_BUDGET:
         raise ModelError(f"the edge budget is at most {MAX_EDGE_BUDGET} pairs, got {edge_budget}")
     lift = r.space.n // len(r.base)
-    sizes = Counter(t * lift for t in Counter(r.base).values() if t * lift > 1)
+    joined = Counter(rep for x, rep in enumerate(r.base) if rep != x)  # rep -> atoms past it
+    sizes = Counter({lift: len(r.base) - len(joined) - joined.total()})  # one-atom classes on Z/p
+    sizes += Counter((t + 1) * lift for t in joined.values())
     universe = sum(count * (size * (size - 1) // 2) for size, count in sizes.items())
     if universe > edge_budget:
         raise EdgeBudgetError(

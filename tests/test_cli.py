@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import orbitcost
 from orbitcost import cli, relcore, rotation, schreier
 from orbitcost.cli import main
-from orbitcost.files import fmt_rational
+from orbitcost.files import MAX_INPUT_CHARS, fmt_rational
 from test_relcore import graphings
 
 
@@ -1416,6 +1416,42 @@ def test_restrict_map_of_a_trillion_atom_view_reads_only_the_subset():
     assert (code, out, err) == (0, "[(0, 1), (5, 6), (999, 1000)]\n", "")
 
 
+ARC_SUBSETS_PAST_MAXSIZE = """
+from orbitcost import *
+n = 2**63
+space = FiniteSpace(n)
+a = Subset(space, Arc(0, n))
+psi = PartialMap('a', space, ShiftMapping(n, 1, 0, n))
+r = Relation(space, [0, 1])
+for call in (lambda: first_return_map(psi, a),
+             lambda: restrict_map(Graphing(space, [psi]), 'a', a),
+             lambda: restrict_relation(r, a),
+             lambda: compression_sides(Relation(FiniteSpace(2), [0, 1]), a)):
+    try:
+        call()
+    except ModelError as e:
+        print(e)
+print(a.measure, n - 1 in a, n in a, *compression_sides(r, a))
+trillion = Relation(FiniteSpace(10**12), [0, 1, 0, 3])
+print(*compression_sides(trillion, Subset(trillion.space, Arc(5, 10**12))))
+try:
+    compression_sides(trillion, Subset(trillion.space, Arc(10**12 - 2, 3)))
+except ModelError as e:
+    print(e)
+"""
+
+
+def test_arc_subsets_past_sys_maxsize_are_read_by_arithmetic():
+    # each listing function refuses a 2**63-atom arc by its size, read without len(), and
+    # compression_sides reads p atoms of it; the child's memory limit stops a regression
+    cap = f"a restricted relation has at most {relcore.MAX_DERIVED_ATOMS} atoms, got {2**63}\n"
+    assert run_capped_python(["-c", ARC_SUBSETS_PAST_MAXSIZE]) == (0, cap * 3 + (
+        "relation and subset live on different spaces\n"
+        "1 True False -1/4611686018427387904 -1/4611686018427387904\n"
+        "-3/1000000000000 -3/1000000000000\n"
+        "subset misses the class of atom 1\n"), "")
+
+
 def test_trillion_atom_views_and_relations_compare_by_what_they_store():
     # views compare their fields; relations compare their bases on Z/gcd(p, q), where the
     # lift to lcm(4096, 5**9) = 8 * 10**9 entries runs out of memory
@@ -1691,8 +1727,7 @@ def test_relation_file_past_the_atom_cap_is_one_error_line(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["single-gen"], "a single full generator is built on at most {cap} atoms, got n={n}"),
-    (["compress", "--arc", "0:{n}"], "a restricted relation has at most {cap} atoms, got {n}"),
-], ids=["single-gen", "compress"])
+], ids=["single-gen"])
 def test_derived_map_past_the_atom_cap_is_one_error_line(tmp_path, argv, message):
     # one atom past the cap: the child reads a relation of cap + 1 atoms and derives nothing
     cap = relcore.MAX_DERIVED_ATOMS
@@ -1703,28 +1738,46 @@ def test_derived_map_past_the_atom_cap_is_one_error_line(tmp_path, argv, message
     assert run_capped(argv) == (1, "", f"error: {message.format(cap=cap, n=n)}\n")
 
 
-def refused_before_listing(capsys, tmp_path, monkeypatch, verb, doc):
-    """Run verb on doc with an arc one atom past a cap of 5; listing any arc atom fails."""
-    def no_listing(*args):
-        raise AssertionError("the arc's atoms were listed")
+ONE_CLASS_10M = {"n": 10000000, "classes": [[0, 5, 9999999]]}
+
+
+def test_compress_arc_past_the_derived_cap_answers_in_bounded_memory(tmp_path):
+    # the arc stays a view and compression_sides reads its first p atoms, so the one
+    # allocation left is the relation file's own, which min-cost on it makes too
+    path = write_doc(tmp_path / "one.json", ONE_CLASS_10M)
+    assert run_capped(["compress", path, "--arc", "0:10000000"]) == (
+        0, "command: compress\nlhs: -4999999/5000000\nrhs: -4999999/5000000\nequal: true\n", "")
+
+
+def run_unlisted(capsys, tmp_path, monkeypatch, verb, doc):
+    """Run verb on doc with --arc 0:6 past a derived cap of 5; iterating any view fails."""
+    def no_listing(self):
+        raise AssertionError("a view's atoms were listed")
     monkeypatch.setattr(relcore, "MAX_DERIVED_ATOMS", 5)
-    monkeypatch.setattr(relcore.Arc, "atoms", no_listing)
+    monkeypatch.setattr(relcore.ShiftMapping, "__iter__", no_listing)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
-    code, lines = run_error(capsys, [verb, str(path), "--arc", "0:6"])
-    assert (code, lines) == (1, ["error: a restricted relation has at most 5 atoms, got 6"])
+    code = main([verb, str(path), "--arc", "0:6"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
-def test_compress_arc_past_the_cap_is_refused_before_its_atoms_are_listed(
+def test_compress_arc_past_the_derived_cap_answers_without_listing_its_atoms(
         capsys, tmp_path, monkeypatch):
-    refused_before_listing(capsys, tmp_path, monkeypatch, "compress", {"n": 10, "classes": []})
+    # atoms 6..9 join atom 0's class, which the arc 0..5 meets: 6 classes on 6 atoms
+    doc = {"n": 10, "classes": [[0, 6, 7, 8, 9]]}
+    assert run_unlisted(capsys, tmp_path, monkeypatch, "compress", doc) == (
+        0, "command: compress\nlhs: -1\nrhs: -9/25\nequal: false\n", "")
 
 
 def test_first_return_arc_past_the_cap_is_refused_before_its_atoms_are_listed(
         capsys, tmp_path, monkeypatch):
-    # a first-return map generates the relation restricted to the subset, so the same cap holds
-    refused_before_listing(capsys, tmp_path, monkeypatch, "first-return",
-                           {"space": {"n": 10}, "maps": [{"name": "a", "rotation": 1}]})
+    # a first-return map generates the relation restricted to the subset, so the same cap holds;
+    # it is the first check, so a map that is no permutation still gets the cap line
+    capped = (1, "", "error: a restricted relation has at most 5 atoms, got 6\n")
+    for domain in ("all", {"arc": [0, 3]}):
+        doc = {"space": {"n": 10}, "maps": [{"name": "a", "rotation": 1, "domain": domain}]}
+        assert run_unlisted(capsys, tmp_path, monkeypatch, "first-return", doc) == capped
 
 
 def test_first_return_arc_past_the_cap_is_one_error_line(tmp_path):
@@ -1734,6 +1787,22 @@ def test_first_return_arc_past_the_cap_is_one_error_line(tmp_path):
     cap = relcore.MAX_DERIVED_ATOMS
     assert run_capped(["first-return", str(path), "--arc", f"0:{cap + 1}"]) == (
         1, "", f"error: a restricted relation has at most {cap} atoms, got {cap + 1}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_input_past_the_character_cap_is_one_error_line(tmp_path):
+    # /dev/zero never ends, and the sparse files hold only NUL bytes: the first two are
+    # refused after MAX_INPUT_CHARS + 1 characters, before json.loads, and the child's
+    # memory limit stops a regression; a file of exactly the cap is read and parsed
+    cap = MAX_INPUT_CHARS
+    paths = [str(tmp_path / name) for name in ("past.json", "at.json")]
+    for path, size in zip(paths, (cap + 1, cap)):
+        open(path, "wb").close()
+        os.truncate(path, size)
+    refusal = "error: {}: an input file holds at most %d characters\n" % cap
+    assert run_capped(["cost", "/dev/zero"]) == (1, "", refusal.format("/dev/zero"))
+    assert run_capped(["min-cost", paths[0]]) == (1, "", refusal.format(paths[0]))
+    assert run_capped(["eps-curve", paths[1]]) == (1, "", f"error: {paths[1]}:1:1: Expecting value\n")
 
 
 def test_eps_exponent_past_the_bound_is_one_error_line(tmp_path):

@@ -1,5 +1,6 @@
 """Core calculus: examples with independently derived values, then properties."""
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,6 +49,11 @@ from orbitcost.unionfind import UnionFind
 
 def shift_map(n, s=1, name="shift"):
     return PartialMap(name, FiniteSpace(n), {x: (x + s) % n for x in range(n)})
+
+
+def arc_atoms(arc, n):
+    """Oracle: an arc's atoms, listed one by one from its start and wrapping modulo n."""
+    return [(arc.start + i) % n for i in range(arc.length)]
 
 
 def iterate(psi, k, x):
@@ -779,6 +785,78 @@ def test_brute_force_matches_per_class_oracle(r, edge_budget):
             brute_force_min_cost(r, edge_budget)
     else:
         assert brute_force_min_cost(r, edge_budget) == expected
+
+
+def brute_force_by_counter(r, edge_budget=20):
+    """Oracle: brute_force_min_cost with its class sizes counted per atom by Counter(r.base)."""
+    lift = r.space.n // len(r.base)
+    sizes = Counter(t * lift for t in Counter(r.base).values() if t * lift > 1)
+    universe = sum(count * (size * (size - 1) // 2) for size, count in sizes.items())
+    if universe > edge_budget:
+        raise EdgeBudgetError(f"edge universe has {universe} pairs, the budget is {edge_budget}")
+    return r.space.measure(sum(count * relcore._fewest_connecting_pairs(size)
+                               for size, count in sizes.items()))
+
+
+@st.composite
+def relations_of_any_period(draw, max_n=60):
+    """A relation on n <= max_n atoms whose base has a period p drawn from the divisors of n."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    labels = draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
+    first: dict[int, int] = {}
+    return Relation(FiniteSpace(n), [first.setdefault(lab, x) for x, lab in enumerate(labels)])
+
+
+def outcome(call, *args):
+    """call(*args), or the class and text of the ModelError it raises."""
+    try:
+        return call(*args)
+    except ModelError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations_of_any_period(), st.integers(0, 20))
+def test_brute_force_sizes_match_the_per_atom_count(r, edge_budget):
+    assert (outcome(brute_force_min_cost, r, edge_budget)
+            == outcome(brute_force_by_counter, r, edge_budget))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations_of_any_period(), st.data())
+def test_arc_subsets_answer_as_their_listed_atoms(r, data):
+    space, n = r.space, r.space.n
+    atoms = st.integers(0, n - 1)
+    lengths = st.sampled_from([0, n]) | st.integers(0, n)
+    arc = Arc(data.draw(atoms), data.draw(lengths))
+    by_arc, by_atoms = Subset(space, arc), Subset(space, frozenset(arc_atoms(arc, n)))
+    if data.draw(st.booleans()):  # any step, so gcd(step, n) > 1 comes up often
+        psi = PartialMap("psi", space, ShiftMapping(n, data.draw(atoms), 0, n))
+    else:
+        psi = PartialMap("psi", space, dict(enumerate(data.draw(st.permutations(range(n))))))
+    view = PartialMap("view", space, ShiftMapping(n, data.draw(atoms), data.draw(atoms),
+                                                  data.draw(lengths)))
+    g = Graphing(space, [psi, view])
+    assert by_arc.measure == by_atoms.measure == Fraction(arc.length, n)
+    assert [x in by_arc for x in range(-1, n + 1)] == [x in by_atoms for x in range(-1, n + 1)]
+    for call in (lambda a: compression_sides(r, a), lambda a: first_return_map(psi, a),
+                 lambda a: restrict_map(g, "psi", a), lambda a: restrict_map(g, "view", a),
+                 lambda a: restrict_relation(r, a)):
+        assert outcome(call, by_arc) == outcome(call, by_atoms)
+
+
+def test_an_arc_subset_is_stored_as_its_step_0_view():
+    space = FiniteSpace(10)
+    assert Subset(space, Arc(3, 4)).members == ShiftMapping(10, 0, 3, 4)
+    assert Subset(space, Arc(3, 10)) == Subset(space, ShiftMapping(10, 7, 0, 10))
+    assert hash(Subset(space, Arc(3, 0))) == hash(Subset(space, Arc(0, 0)))
+    # subsets compare by what they store, as views do: an arc is not its member set
+    assert Subset(space, Arc(3, 4)) != Subset(space, frozenset([3, 4, 5, 6]))
+    with pytest.raises(ModelError, match="^arc start 10 outside 0..9$"):
+        Subset(space, Arc(10, 1))
+    with pytest.raises(ModelError, match="^arc length 11 outside 0..10$"):
+        Subset(space, Arc(0, 11))
 
 
 @st.composite

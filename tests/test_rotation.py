@@ -46,6 +46,7 @@ from orbitcost import (
 from orbitcost.files import dump_graphing, dump_relation
 from orbitcost.relcore import _quotient
 from orbitcost.unionfind import UnionFind
+from test_relcore import arc_atoms
 
 
 def dict_full_graphing(sys):
@@ -71,7 +72,7 @@ def dict_epsilon_graphing(sys, full_step, arc):
     space, n = sys.space, sys.n
     maps = []
     for name, s in sys.steps.items():
-        sources = range(n) if name == full_step else arc.atoms(n)
+        sources = range(n) if name == full_step else arc_atoms(arc, n)
         maps.append(PartialMap(name, space, {x: (x + s) % n for x in sources}))
     return Graphing(space, maps)
 
@@ -102,7 +103,7 @@ def hit_by_inverse(n, step, x, arc):
     span = n // g
     inv = pow(step // g, -1, span) if span > 1 else 0
     best = None
-    for t in arc.atoms(n):
+    for t in arc_atoms(arc, n):
         d = (t - x) % n
         if d % g:
             continue
@@ -129,7 +130,7 @@ def test_steps_reduce_mod_n():
 
 def test_arc_wraps():
     arc = Arc(8, 4)
-    assert arc.atoms(10) == [8, 9, 0, 1]
+    assert arc_atoms(arc, 10) == [8, 9, 0, 1]
     assert arc.contains(1, 10) and not arc.contains(2, 10)
 
 
