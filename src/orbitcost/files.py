@@ -227,7 +227,7 @@ def load_rotation(path: str) -> RotationDoc:
 
 
 def _build_rotation(doc) -> RotationDoc:
-    from .rotation import RotationSystem
+    from .rotation import RotationSystem, _curve_eps
     n = _as_int(_expect(doc, "n", "the atom count"), "n")
     steps_doc = _expect(doc, "steps", "an object of named step sizes")
     if not isinstance(steps_doc, dict) or not steps_doc:
@@ -241,7 +241,7 @@ def _build_rotation(doc) -> RotationDoc:
     eps = doc.get("eps", [])
     if not isinstance(eps, list):
         raise ModelError("eps must be a list of ratios")
-    eps = [parse_rational(v) for v in eps]
+    eps = [parse_rational(v) for v in _curve_eps(eps)]
     arc = None
     if "arc" in doc:
         arc = Arc(*_read_arc(doc["arc"], "arc must be a [start, length] pair"))

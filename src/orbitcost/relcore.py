@@ -338,8 +338,10 @@ class Relation(_Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        a, b = self.base, other.base  # equal relations are invariant under both periods, so
-        d = math.gcd(len(a), len(b))  # under their gcd d: compare on Z/d, in O(p + q)
+        a, b = self.base, other.base
+        if len(a) == len(b):  # one period: compare the bases as they are, copying nothing
+            return self.space == other.space and a == b
+        d = math.gcd(len(a), len(b))  # equal relations keep both periods: compare on Z/d, O(p + q)
         return self.space == other.space and a[:d] == b[:d] and a[d:] == a[:-d] and b[d:] == b[:-d]
 
     @classmethod

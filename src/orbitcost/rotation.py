@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from .relcore import (
     Arc,
@@ -25,6 +26,11 @@ from .relcore import (
     _set,
     parse_rational,
 )
+
+
+# eps values in one curve, counted before any is parsed.  At the cap the worst curve measured
+# (150-digit eps, --format json) peaks under 180 MiB; 800000 eps ran out of 1 GiB.
+MAX_CURVE_ROWS = 100_000
 
 
 class UnreachableArcError(ModelError):
@@ -208,6 +214,14 @@ def _exact_eps(value) -> Fraction:
     return eps
 
 
+def _curve_eps(eps_values) -> list:
+    """At most MAX_CURVE_ROWS values of any iterable, refused past that before any is parsed."""
+    values = list(islice(eps_values, MAX_CURVE_ROWS + 1))
+    if len(values) > MAX_CURVE_ROWS:
+        raise ModelError(f"an eps curve takes at most {MAX_CURVE_ROWS} eps values")
+    return values
+
+
 def cost_epsilon_curve(sys: RotationSystem, full_step: str, eps_values) -> CostCurve:
     """Cost of the restricted family as the arc shrinks, every eps checked first.
 
@@ -215,9 +229,10 @@ def cost_epsilon_curve(sys: RotationSystem, full_step: str, eps_values) -> CostC
     (n + (k - 1) * arc_len)/n.  Every step keeps x mod g, so the family generates exactly
     when it has g classes: at once if g == p = gcd(n, full step) or the arc meets all p
     residues, else as counted on the row's Z/p union-find.  Infimum 1 only when p == 1.
+    At most MAX_CURVE_ROWS + 1 eps values are read from any iterable.
     """
     p = math.gcd(sys.n, _full_size(sys, full_step))
-    epsilons = [_exact_eps(value) for value in eps_values]
+    epsilons = [_exact_eps(value) for value in _curve_eps(eps_values)]
     g = math.gcd(sys.n, *sys.steps.values())
     rows = []
     for eps in epsilons:

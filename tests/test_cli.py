@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -1469,6 +1470,56 @@ def test_trillion_atom_views_and_relations_compare_by_what_they_store():
     assert (code, out, err) == (0, "True\nFalse False\nTrue True\nTrue True\n", "")
 
 
+TEN_MILLION_ONE_PAIR = {"space": {"n": 10**7}, "maps": [{"name": "a", "pairs": [[1000000, 1000001]]}]}
+TEN_MILLION_INVARIANTS = (
+    "command: invariants\ncost: 1/10000000\nnu: 1/10000000\nmin_cost: 1/10000000\n"
+    "reduced_cost: 1/10000000\nbrute_min_cost: 1/10000000\nchecks:\n  cost_ge_nu: true\n"
+    "  nu_ge_min_cost: true\n  reduced_is_treeing: true\n  reduced_generates: true\n"
+    "  reduced_cost_is_min: true\n  spanning_cost_is_min: true\n  transversal_identity: true\n"
+    "  brute_force_agrees: true\nok: true\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["invariants", "{pairs}"], TEN_MILLION_INVARIANTS),
+    (["gen-check", "{pairs}", "{relation}"], "command: gen-check\ngenerates: false\n"),
+], ids=["invariants", "gen-check"])
+def test_ten_million_atom_pairs_answer_in_bounded_memory(tmp_path, argv, expected):
+    # a dict graphing's quotient is all 10**7 atoms: its union-find holds one n-entry list and
+    # canonical() one copy, and two bases of one period compare without a slice
+    paths = {"pairs": write_doc(tmp_path / "pairs.json", TEN_MILLION_ONE_PAIR),
+             "relation": write_doc(tmp_path / "rel.json", {"n": 10**7, "classes": []})}
+    assert run_capped([a.format(**paths) for a in argv]) == (0, expected, "")
+
+
+def test_eps_past_the_row_cap_is_one_error_line(tmp_path):
+    # eps 1 in a file just under the input cap: about 8 * 10**6 values, refused by their count
+    # before any is parsed; a row more than the cap is refused alike
+    cap = rotation.MAX_CURVE_ROWS
+    head = '{"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "eps": ['
+    paths = [str(tmp_path / name) for name in ("full.json", "past.json")]
+    Path(paths[0]).write_text(head + ",".join(["1"] * ((MAX_INPUT_CHARS - len(head) - 1) // 2))
+                              + "]}")
+    assert MAX_INPUT_CHARS - 2 <= os.path.getsize(paths[0]) <= MAX_INPUT_CHARS
+    Path(paths[1]).write_text(head + ",".join(["1"] * (cap + 1)) + "]}")
+    for path in paths:
+        assert run_capped(["eps-curve", path]) == (
+            1, "", f"error: {path}: an eps curve takes at most {cap} eps values\n")
+
+
+@pytest.mark.parametrize("argv", [["eps-curve", "{rotation}"],
+                                  ["rotation-demo", "{rotation}", "--x", "1"]],
+                         ids=["eps-curve", "rotation-demo"])
+def test_a_rotation_file_past_the_row_cap_is_refused_before_an_eps_is_read(
+        capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(rotation, "MAX_CURVE_ROWS", 3)
+    doc = {"n": 10, "steps": {"a": 1, "b": 3}, "full": "a", "arc": [0, 2]}
+    path = write_doc(tmp_path / "rot.json", {**doc, "eps": ["1/2", "1/5", "x", "1/10"]})
+    assert run_error(capsys, [a.format(rotation=path) for a in argv]) == (
+        1, [f"error: {path}: an eps curve takes at most 3 eps values"])
+    path = write_doc(tmp_path / "rot.json", {**doc, "eps": ["1/2", "1/5", "1/10"]})
+    assert main([a.format(rotation=path) for a in argv]) == 0
+
+
 def test_infinite_dihedral_at_a_million_cosets_in_bounded_memory():
     # (2,2) is drawn as one shuffled cycle, so no attempt cap stops it at any even index
     assert run_capped(["schreier-rank", "--factors", "2,2", "--index", "1000000"]) == (
@@ -1634,7 +1685,12 @@ def test_fuzzed_verbs_flags_and_files_exit_cleanly(tmp_path_factory, fuzz_child,
     argv, docs, encoding = case
     root = tmp_path_factory.mktemp("fuzz")
     paths = {name: write_doc(root / f"{name}.json", doc) for name, doc in docs.items()}
-    fuzz_child.stdin.write(json.dumps([[a.format(**paths) for a in argv], encoding]) + "\n")
+    assert_exits_cleanly(fuzz_child, [a.format(**paths) for a in argv], encoding)
+
+
+def assert_exits_cleanly(fuzz_child, argv, encoding):
+    """Run argv in the fuzz child: exit 0 and no stderr, 1 and one error line, or 2 and usage."""
+    fuzz_child.stdin.write(json.dumps([argv, encoding]) + "\n")
     fuzz_child.stdin.flush()
     answer = json.loads(fuzz_child.stdout.readline() or '{"crash": "the child died"}')
     assert "crash" not in answer, answer["crash"]
@@ -1642,6 +1698,55 @@ def test_fuzzed_verbs_flags_and_files_exit_cleanly(tmp_path_factory, fuzz_child,
     kind = ("empty" if not err else "usage" if err.startswith("usage: ")
             else "error line" if err.startswith("error: ") and err.count("\n") == 1 else err)
     assert (code, kind) in {(0, "empty"), (1, "error line"), (2, "usage")}
+
+
+# what a digit run turns into: a float past the double range, an int past 64 bits, or an
+# unclosed nesting
+DIGIT_RUN_SWAPS = [b"1e400", b"18446744073709551616", b"[[["]
+
+
+@st.composite
+def mutated_bytes(draw, data):
+    """data after one to three mutations of its bytes: a bit flipped, the tail cut off, a
+    stray 0xff inserted or a digit run replaced."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "cut", "xff", "digits"]))
+        runs = list(re.finditer(rb"[0-9]+", data))
+        if kind == "flip" and data:
+            i = draw(st.integers(0, len(data) - 1))
+            data = data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1:]
+        elif kind == "cut":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "xff":
+            i = draw(st.integers(0, len(data)))
+            data = data[:i] + b"\xff" + data[i:]
+        elif runs:
+            run = draw(st.sampled_from(runs))
+            data = data[:run.start()] + draw(st.sampled_from(DIGIT_RUN_SWAPS)) + data[run.end():]
+    return data
+
+
+@st.composite
+def byte_mutated_commands(draw):
+    """A golden argv and the serialized bytes of each file it reads, mutated."""
+    argv, _ = draw(st.sampled_from(GOLDEN_STDOUT))
+    names = sorted({token.strip("{}") for token in argv if token.startswith("{")})
+    return argv, {name: draw(mutated_bytes(json.dumps(GOLDEN_DOCS[name]).encode()))
+                  for name in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(byte_mutated_commands())
+def test_fuzzed_file_bytes_exit_cleanly(tmp_path_factory, fuzz_child, case):
+    """Every verb on golden files whose raw bytes were mutated answers or refuses in one
+    clean way, by the rule of test_fuzzed_verbs_flags_and_files_exit_cleanly."""
+    argv, data = case
+    root = tmp_path_factory.mktemp("bytes")
+    paths = {}
+    for name, raw in data.items():
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_bytes(raw)
+    assert_exits_cleanly(fuzz_child, [a.format(**paths) for a in argv], "utf-8")
 
 
 def run_in_shell(argv, redirect="", **env):

@@ -866,16 +866,81 @@ def pair_lists(draw, max_n=30, max_pairs=60):
     return n, draw(st.lists(st.tuples(atoms, atoms), max_size=max_pairs))
 
 
+class BySizeUnionFind:
+    """Oracle: a union-find that links the smaller set under the larger, with path halving."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+        self.weight = [1] * size
+        self.components = size
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.weight[ra] < self.weight[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.weight[ra] += self.weight[rb]
+        self.components -= 1
+        return True
+
+    def canonical(self):
+        least = {}
+        return [least.setdefault(self.find(x), x) for x in range(len(self.parent))]
+
+
+def assert_matches_by_size(n, pairs):
+    """union, union_all, components and canonical() against BySizeUnionFind on one sequence."""
+    batch, single, oracle = UnionFind(n), UnionFind(n), BySizeUnionFind(n)
+    merged = batch.union_all([a for a, _ in pairs], [b for _, b in pairs])
+    assert merged == [single.union(a, b) for a, b in pairs] == [oracle.union(a, b)
+                                                               for a, b in pairs]
+    assert batch.parent == single.parent
+    assert batch.components == single.components == oracle.components
+    assert batch.canonical() == oracle.canonical()
+
+
 @settings(max_examples=200)
 @given(pair_lists())
 def test_union_all_matches_pair_by_pair_union(case):
+    assert_matches_by_size(*case)
+
+
+N_PINNED = 10**5
+PINNED_SEQUENCES = {  # each ends with a pair its sequence has already joined
+    "descending-chain": [(x, x - 1) for x in range(N_PINNED - 1, 0, -1)] + [(N_PINNED - 1, 0)],
+    "fan-into-0": [(x, 0) for x in range(1, N_PINNED)] + [(N_PINNED - 1, 1)],
+    "star-onto-largest": [(x, N_PINNED - 1) for x in range(N_PINNED - 1)] + [(0, N_PINNED - 2)],
+}
+
+
+@pytest.mark.parametrize("pairs", PINNED_SEQUENCES.values(), ids=PINNED_SEQUENCES)
+def test_union_find_matches_by_size_on_long_sequences(pairs):
+    assert_matches_by_size(N_PINNED, pairs)
+
+
+@given(pair_lists(), st.lists(st.integers(0, 60), max_size=5))
+def test_every_parent_is_at_most_its_atom(case, cuts):
+    # the larger root goes under the smaller and halving only shortens paths, so every
+    # root is the least atom of its set, through any mix of union and union_all
     n, pairs = case
-    batch, oracle = UnionFind(n), UnionFind(n)
-    merged = batch.union_all([a for a, _ in pairs], [b for _, b in pairs])
-    assert merged == [oracle.union(a, b) for a, b in pairs]
-    assert batch.components == oracle.components
-    least: dict[int, int] = {}
-    assert batch.canonical() == [least.setdefault(oracle.find(x), x) for x in range(n)]
+    uf = UnionFind(n)
+    bounds = sorted({0, len(pairs), *(c for c in cuts if c < len(pairs))})
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if i % 2:
+            for a, b in pairs[lo:hi]:
+                uf.union(a, b)
+        else:
+            uf.union_all([a for a, _ in pairs[lo:hi]], [b for _, b in pairs[lo:hi]])
+        assert all(parent <= x for x, parent in enumerate(uf.parent))
 
 
 @given(st.one_of(relations(max_n=30), periodic_relations()), graphings(max_n=12))

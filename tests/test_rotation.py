@@ -564,6 +564,23 @@ def test_curve_rejects_floats_and_bad_ranges():
         cost_epsilon_curve(sys, "a", ["3/2"])
 
 
+@pytest.mark.parametrize("eps_values", [
+    lambda: (0.5 for _ in range(1000)),
+    lambda: [0.5] * 4,
+], ids=["generator", "list"])
+def test_curve_refuses_past_the_row_cap_before_reading_an_eps(monkeypatch, eps_values):
+    # floats are refused as each is parsed, so the cap line shows that none was; the generator
+    # is finite, so a lost islice fails on its count instead of reading without end
+    monkeypatch.setattr(rotation, "MAX_CURVE_ROWS", 3)
+    sys = RotationSystem(10, {"a": 1, "b": 3})
+    read = []
+    values = (read.append(v) or v for v in eps_values())
+    with pytest.raises(ModelError, match=r"^an eps curve takes at most 3 eps values$"):
+        cost_epsilon_curve(sys, "a", values)
+    assert len(read) == 4
+    assert len(cost_epsilon_curve(sys, "a", ["1/2"] * 3).rows) == 3
+
+
 def test_curve_reads_eps_through_the_exponent_bound():
     sys = RotationSystem(10, {"a": 1, "b": 3})
     with pytest.raises(ModelError, match=r"^cannot read '1e-20000' as an exact ratio: "
