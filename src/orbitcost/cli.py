@@ -449,8 +449,9 @@ def main(argv=None) -> int:
     if out is None:  # a text stream, such as an io.StringIO put in by redirect_stdout
         sys.stdout.write(text)
         return 0
-    # PYTHONUNBUFFERED=1 makes this the raw file, whose write may take only part of the bytes
+    # the raw file in both buffering modes, whose write may take only part of the bytes
     sys.stdout.flush()
+    out = getattr(out, "raw", out)
     # a name the encoding lacks prints as its escape, as --format json's ensure_ascii does
     data = memoryview(text.encode(encoding, "backslashreplace"))
     while data:

@@ -179,34 +179,31 @@ def _shuffle(rng: random.Random, x: list) -> None:
                     low = (low >> 1) - 1
 
 
-def _sample_factor_perm(order: int, index: int, rng: random.Random) -> list[int]:
-    """Uniform permutation, constrained to full-length cycles at torsion.
+def _cycles(pts: list[int], order: int) -> list[int]:
+    """The permutation whose cycles are pts cut into consecutive order-point blocks.
 
-    A shuffled point sequence chopped into consecutive order-sized cycles is
-    uniform over such permutations: each one arises from exactly
-    (index/order)! * order^(index/order) shufflings.  Each point's successor
-    is the next point of the sequence, except that a block's last point
-    returns to the block's first.
+    Order 0 reads pts itself as the permutation.  Cut from a uniform
+    sequence of i points, the result is uniform over the permutations with
+    every cycle of length order: each one arises from exactly
+    (i/order)! * order^(i/order) sequences.  Each point's successor is the
+    next point of the sequence, except that a block's last point returns to
+    the block's first.
     """
-    pts = list(range(index))
-    _shuffle(rng, pts)
     if order == 0:
         return pts
     nxt = pts[1:] + pts[:1]
     nxt[order - 1::order] = pts[::order]
-    perm = [0] * index
+    perm = [0] * len(pts)
     for x, y in zip(pts, nxt):
         perm[x] = y
     return perm
 
 
-def _pairing(pts: list[int]) -> list[int]:
-    """The involution that swaps pts[0] with pts[1], pts[2] with pts[3], and so on."""
-    perm = [0] * len(pts)
-    for x, y in zip(pts[::2], pts[1::2]):
-        perm[x] = y
-        perm[y] = x
-    return perm
+def _sample_factor_perm(order: int, index: int, rng: random.Random) -> list[int]:
+    """_cycles of a uniform shuffle of the cosets: uniform, with full-length cycles at torsion."""
+    pts = list(range(index))
+    _shuffle(rng, pts)
+    return _cycles(pts, order)
 
 
 def _cycle_involutions(pts: list[int]) -> list[list[int]]:
@@ -217,7 +214,7 @@ def _cycle_involutions(pts: list[int]) -> list[list[int]]:
     i sequences (pick p0; the cycle then fixes the rest), so a uniform
     sequence gives a uniform transitive pair.
     """
-    return [_pairing(pts), _pairing(pts[1:] + pts[:1])]
+    return [_cycles(pts, 2), _cycles(pts[1:] + pts[:1], 2)]
 
 
 def _require_action(spec: GroupSpec, index: int) -> None:
@@ -253,17 +250,18 @@ def _rank(spec: GroupSpec, index: int) -> int:
 def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
     """A uniform transitive action, free at torsion, as a pure function of (spec, index, seed).
 
-    Two kinds of spec are drawn without rejection, from the stream of
-    (factor 0, attempt 0).  A lone factor is transitive only as one index-cycle, so it
-    draws one and returns it unwalked.  The infinite dihedral spec (2, 2)
-    is one shuffle of the cosets, read as a cycle whose alternate edges are
-    the two involutions.  Every other spec draws per-factor permutations
-    until the action is transitive, each (factor, attempt) pair from its own
-    stream derived from the master seed.  It gives up after MAX_ATTEMPTS
-    rejections, or sooner when the attempts would draw more than
-    MAX_SAMPLER_DRAWS cosets in all.  At most MAX_SAMPLER_COSETS cosets
-    (index times factors) are drawn per attempt, and _require_action is met
-    before any draw.  An action returned is built valid and not re-checked.
+    Two kinds of spec are drawn without rejection, as one shuffle of the
+    cosets from the stream of (factor 0, attempt 0), returned unwalked.  A
+    lone factor is transitive only as one index-cycle, so it reads the
+    shuffle as one.  The infinite dihedral spec (2, 2) reads it as a cycle
+    whose alternate edges are the two involutions.  Every other spec draws
+    per-factor permutations until the action is transitive, each (factor,
+    attempt) pair from its own stream derived from the master seed.  It
+    gives up after MAX_ATTEMPTS rejections, or sooner when the attempts
+    would draw more than MAX_SAMPLER_DRAWS cosets in all.  At most
+    MAX_SAMPLER_COSETS cosets (index times factors) are drawn per attempt,
+    and _require_action is met before any draw.  An action returned is
+    built valid and not re-checked.
     """
     orders = spec.factor_orders
     if index * len(orders) > MAX_SAMPLER_COSETS:  # never true when index < 1
@@ -271,13 +269,10 @@ def sample_free_action(spec: GroupSpec, index: int, seed: int) -> PermAction:
             f"the sampler draws at most {MAX_SAMPLER_COSETS} cosets (index times factors), "
             f"got {index} x {len(orders)}")
     _require_action(spec, index)
-    if len(orders) == 1:
-        perm = _sample_factor_perm(index, index, random.Random(derive_seed(seed, 0, 0)))
-        return relcore._built(PermAction, spec, index, [perm])
-    if orders == (2, 2):
-        pts = list(range(index))
-        _shuffle(random.Random(derive_seed(seed, 0, 0)), pts)
-        return relcore._built(PermAction, spec, index, _cycle_involutions(pts))
+    if len(orders) == 1 or orders == (2, 2):
+        pts = _sample_factor_perm(0, index, random.Random(derive_seed(seed, 0, 0)))
+        perms = [_cycles(pts, index)] if len(orders) == 1 else _cycle_involutions(pts)
+        return relcore._built(PermAction, spec, index, perms)
     attempts = min(MAX_ATTEMPTS, MAX_SAMPLER_DRAWS // (index * len(orders)))
     for attempt in range(attempts):
         perms = [_sample_factor_perm(order, index, random.Random(derive_seed(seed, j, attempt)))

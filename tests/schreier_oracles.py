@@ -19,6 +19,20 @@ from orbitcost.schreier import (
 )
 
 
+def pairing(pts):
+    """The involution that swaps pts[0] with pts[1], pts[2] with pts[3], and so on."""
+    perm = [0] * len(pts)
+    for x, y in zip(pts[::2], pts[1::2]):
+        perm[x] = y
+        perm[y] = x
+    return perm
+
+
+def cycle_involutions_by_pairing(pts):
+    """The sampler's former (2, 2) pair: pts paired, then pts rotated by one paired."""
+    return [pairing(pts), pairing(pts[1:] + pts[:1])]
+
+
 def modeled_factor_cost(order: int) -> Fraction:
     """Re-price one factor through the finite relation calculus.
 

@@ -20,6 +20,7 @@ from orbitcost import (
     Graphing,
     GroupInvariants,
     GroupSpec,
+    ModelError,
     PartialMap,
     Path,
     PermAction,
@@ -30,6 +31,7 @@ from orbitcost import (
     Subset,
 )
 from orbitcost.files import RotationDoc, SchreierDoc
+from orbitcost.relcore import _Record
 from orbitcost.schreier import CoincidenceRow, GradientRow
 
 S3, S4 = FiniteSpace(3), FiniteSpace(4)
@@ -86,6 +88,13 @@ MUTABLE = [
 CASES = FROZEN + MUTABLE
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
+# (class, keyword arguments that break its precondition, the ModelError's message)
+REFUSED = [
+    (EdgeSet, {"space": S3, "edges": frozenset({(0, 3)})}, "edge (0, 3) leaves 0..2"),
+    (EdgeSet, {"space": S3, "edges": frozenset({(-1, 0)})}, "edge (-1, 0) leaves 0..2"),
+    (FiniteSpace, {"n": 0}, "a space needs at least one atom, got n=0"),
+]
+
 
 def test_every_class_is_covered():
     assert len(FROZEN) == 11 and len(MUTABLE) == 9 and len(set(IDS)) == 20
@@ -140,3 +149,32 @@ def test_pickle_and_copy_keep_the_fields(cls, kwargs, others):
     obj = cls(**kwargs)
     for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
         assert type(again) is cls and again == obj
+
+
+@pytest.mark.parametrize("cls, kwargs, others", CASES, ids=IDS)
+def test_a_missing_repeated_or_unknown_field_is_a_type_error(cls, kwargs, others):
+    first, *_ = kwargs
+    values = list(kwargs.values())
+    calls = [(values[:-1], {}), (values, {first: values[0]}), (values, {"unknown": 0}),
+             ([*values, 0], {})]
+    for args, extra in calls:
+        with pytest.raises(TypeError) as raised:
+            cls(*args, **extra)
+        if cls.__init__ is _Record.__init__:  # the generic constructor names every field
+            assert str(raised.value) == f"{cls.__name__}() takes the fields {', '.join(kwargs)}"
+
+
+@pytest.mark.parametrize("cls, kwargs, others", FROZEN, ids=IDS[:len(FROZEN)])
+def test_read_only_classes_refuse_deletion(cls, kwargs, others):
+    obj = cls(**kwargs)
+    for name, value in kwargs.items():
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+        assert getattr(obj, name) == value
+
+
+@pytest.mark.parametrize("cls, kwargs, message", REFUSED, ids=[m for _, _, m in REFUSED])
+def test_a_broken_precondition_is_a_model_error(cls, kwargs, message):
+    with pytest.raises(ModelError) as raised:
+        cls(**kwargs)
+    assert str(raised.value) == message

@@ -325,6 +325,28 @@ def test_a_full_stdout_is_one_error_line(relation_file, buffering):
 
 
 @pytest.mark.parametrize("buffering", list(BUFFERING_ENVS))
+def test_a_full_non_blocking_stdout_is_one_error_line(tmp_path, buffering):
+    # the pipe is filled before the child starts and never read, so its first write finds
+    # no room; a buffered and a raw stdout must report that alike
+    read_end, write_end = os.pipe()
+    try:
+        os.set_blocking(write_end, False)
+        with contextlib.suppress(BlockingIOError):
+            while True:
+                os.write(write_end, b"x" * 65536)
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitcost", "single-gen", write_large_relation(tmp_path),
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=BUFFERING_ENVS[buffering],
+            timeout=60)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write the report: Resource temporarily unavailable\n")
+
+
+@pytest.mark.parametrize("buffering", list(BUFFERING_ENVS))
 def test_a_reader_that_leaves_mid_report_gets_one_error_line(tmp_path, buffering):
     # about 4.5 MB in one write, far past a pipe buffer: the reader takes one byte and
     # closes, so the write returns short; the rest must fail loudly, not vanish
@@ -885,7 +907,7 @@ SCHREIER_GOLDENS = [(argv, expected) for argv, expected in GOLDEN_STDOUT
                          ids=[" ".join(argv) for argv, _ in SCHREIER_GOLDENS])
 def test_schreier_verbs_answer_without_a_draw(capsys, golden_files, monkeypatch, argv,
                                               expected):
-    # every draw of the sampler shuffles, and every non-(2,2) draw takes one factor permutation
+    # every draw of the sampler takes its factor permutations, and each of those shuffles
     def no_draws(*args):
         raise AssertionError("drew a permutation")
     monkeypatch.setattr(schreier, "_sample_factor_perm", no_draws)

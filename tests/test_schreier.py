@@ -28,6 +28,7 @@ from orbitcost.unionfind import UnionFind
 from schreier_oracles import (
     coincidence_report_by_draw,
     compression_check_by_draw,
+    cycle_involutions_by_pairing,
     modeled_factor_cost,
     rank_gradient_by_draw,
 )
@@ -434,6 +435,26 @@ def test_cycle_involutions_hit_each_transitive_pair_index_times(index, pairs):
     assert len(transitive) == pairs
     assert set(hits) == transitive
     assert set(hits.values()) == {index}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda half: st.permutations(range(2 * half))))
+def test_cycle_involutions_match_the_pairing_construction(pts):
+    assert schreier._cycle_involutions(list(pts)) == cycle_involutions_by_pairing(list(pts))
+
+
+@pytest.mark.parametrize("index", [2, 12, 400])
+def test_dihedral_draw_takes_one_factor_permutation(monkeypatch, index):
+    drawn = []
+
+    def counted(order, index, rng):
+        drawn.append((order, index))
+        return factor_perm_oracle(order, index, rng)
+
+    expected = sample_free_action(GroupSpec((2, 2)), index, 5).perms
+    monkeypatch.setattr(schreier, "_sample_factor_perm", counted)
+    assert sample_free_action(GroupSpec((2, 2)), index, 5).perms == expected
+    assert drawn == [(0, index)]  # one shuffle of the cosets, read as a cycle
 
 
 @pytest.mark.parametrize("index", [4, 6])
