@@ -7,6 +7,7 @@ already visits every atom.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 
@@ -99,32 +100,33 @@ def _least_iterate(a: int, b: int, n: int, width: int) -> int | None:
     """Least m >= 0 with (b + m*a) mod n < width, for 0 <= a, b < n; None if none."""
     if b < width:
         return 0
-    if a == 0 or width == 0:
-        return None
-    # b + m*a lands in [0, width) exactly when m*a lands in [n - b, n - b + width)
-    return _least_multiple(a, n, n - b, n - b + width - 1)
-
-
-def _least_multiple(a: int, n: int, lo: int, hi: int) -> int | None:
-    """Least k >= 1 with lo <= k*a mod n <= hi, for 0 < a < n and 0 < lo <= hi < n."""
-    if 2 * a > n:  # k*(n - a) mod n mirrors k*a mod n, and the window excludes 0
-        a, lo, hi = n - a, n - hi, n - lo
-    k = -(-lo // a)
-    if k * a <= hi:
-        return k
-    # No multiple of a falls in [lo, hi], so hi - lo < a and each window
-    # [lo + j*n, hi + j*n] holds at most one.  The least j whose window holds
-    # one gives the least k, and a window holds one exactly when
-    # (-lo - j*n) mod a <= hi - lo: the same problem with modulus a <= n/2.
-    j = _least_iterate(-n % a, -lo % a, a, hi - lo + 1)
-    return None if j is None else -(-(lo + j * n) // a)
+    levels = []
+    while a and width:
+        # b + m*a lands in [0, width) exactly when m*a mod n lands in [lo, hi]; k*(n - a)
+        # mod n mirrors k*a mod n, since the window excludes 0, so the step is at most n/2
+        lo, hi = n - b, n - b + width - 1
+        if 2 * a > n:
+            a, lo, hi = n - a, n - hi, n - lo
+        m = -(-lo // a)
+        if m * a <= hi:
+            for lo, n, a in reversed(levels):
+                m = -(-(lo + m * n) // a)
+            return m
+        # No multiple of a falls in [lo, hi], so hi - lo < a and each window
+        # [lo + j*n, hi + j*n] holds at most one, at ceil((lo + j*n)/a).  The least j whose
+        # window holds one gives the least k, and a window holds one exactly when
+        # (-lo - j*n) mod a <= hi - lo: the same problem with modulus a, solved at the next
+        # level; its answer j unwinds through the levels recorded here, deepest first.
+        levels.append((lo, n, a))
+        a, b, n, width = -n % a, -lo % a, a, hi - lo + 1
+    return None
 
 
 def first_hitting_time(n: int, step: int, x: int, arc: Arc) -> int:
     """Least m >= 0 with x + m*step inside the arc (mod n).
 
-    Solved by a Euclid-style recursion on (step, n) that at least halves the
-    modulus each level, so it takes O(log n) steps whatever the arc length.
+    Solved by one Euclid-style loop on (step, n) that at least halves the modulus each
+    level, so it takes O(log n) steps whatever the arc length, and no recursion at any n.
     """
     if n < 1:
         raise ModelError(f"modulus must be positive, got {n}")
@@ -228,16 +230,19 @@ def cost_epsilon_curve(sys: RotationSystem, full_step: str, eps_values) -> CostC
     One row per eps: the arc is the first ceil(eps * n) atoms, and k steps cost exactly
     (n + (k - 1) * arc_len)/n.  Every step keeps x mod g, so the family generates exactly
     when it has g classes: at once if g == p = gcd(n, full step) or the arc meets all p
-    residues, else as counted on the row's Z/p union-find.  Infimum 1 only when p == 1.
-    At most MAX_CURVE_ROWS + 1 eps values are read from any iterable.
+    residues, else as a Z/p union-find counts.  A longer arc keeps every entry of a shorter
+    one, so each row compares its arc with one least generating length, bisected among the
+    distinct lengths below p: at most ceil(log2(j + 1)) union-finds for j such lengths.
+    Infimum 1 only when p == 1.  At most MAX_CURVE_ROWS + 1 eps values are read from any iterable.
     """
     p = math.gcd(sys.n, _full_size(sys, full_step))
     epsilons = [_exact_eps(value) for value in _curve_eps(eps_values)]
     g = math.gcd(sys.n, *sys.steps.values())
-    rows = []
-    for eps in epsilons:
-        arc_len = -(-eps.numerator * sys.n // eps.denominator)  # ceil(eps * n)
-        price = Fraction(sys.n + (len(sys.steps) - 1) * arc_len, sys.n)
-        rows.append(CurveRow(eps, arc_len, price, g == p or arc_len >= p or _quotient(
-            epsilon_graphing(sys, full_step, Arc(0, arc_len))).components == g))
-    return CostCurve(rows, Fraction(1) if p == 1 else None)
+    lengths = [-(-eps.numerator * sys.n // eps.denominator) for eps in epsilons]  # ceil(eps * n)
+    short = sorted({length for length in lengths if length < p})
+    least = 0 if g == p else (short + [p])[bisect_left(short, True, key=lambda length: _quotient(
+        epsilon_graphing(sys, full_step, Arc(0, length))).components == g)]
+    k = len(sys.steps)
+    return CostCurve([CurveRow(eps, arc_len, Fraction(sys.n + (k - 1) * arc_len, sys.n),
+                               arc_len >= least) for eps, arc_len in zip(epsilons, lengths)],
+                     Fraction(1) if p == 1 else None)

@@ -20,6 +20,7 @@ from orbitcost import cli, relcore, rotation, schreier
 from orbitcost.cli import main
 from orbitcost.files import MAX_INPUT_CHARS, fmt_rational
 from test_relcore import graphings
+from test_rotation import fibonacci
 
 
 # the documents the golden commands read, by the name their argv templates give them
@@ -1526,6 +1527,33 @@ def test_eps_past_the_row_cap_is_one_error_line(tmp_path):
     for path in paths:
         assert run_capped(["eps-curve", path]) == (
             1, "", f"error: {path}: an eps curve takes at most {cap} eps values\n")
+
+
+def test_eps_curve_reads_twenty_thousand_short_rows_from_one_threshold(tmp_path):
+    # p = gcd(10**6, 0) = 10**6 against g = 1: 20002 distinct lengths below p, bisected in at
+    # most 15 union-finds on Z/p, where one such union-find per row ran past the time limit
+    n = 10**6
+    eps = [f"{i}/{n}" for i in range(1, 20001)] + [f"{n - 2}/{n}", f"{n - 1}/{n}", "1"]
+    path = write_doc(tmp_path / "curve.json",
+                     {"n": n, "steps": {"a": n, "b": 1}, "full": "a", "eps": eps})
+    code, out, err = run_capped(["eps-curve", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["arc_len"] for row in rows] == [*range(1, 20001), n - 2, n - 1, n]
+    assert all(row["generates"] == (row["arc_len"] >= n - 1) for row in rows)
+
+
+def test_rotation_demo_answers_at_a_208_digit_fibonacci_modulus(capsys, tmp_path):
+    # consecutive Fibonacci numbers take the most Euclid levels for their size: about 500
+    # here, each two frames deep in a solver that recursed once per level
+    n, step = fibonacci(993), fibonacci(992)
+    path = write_doc(tmp_path / "fib.json",
+                     {"n": n, "steps": {"a": step, "b": 1}, "full": "a", "arc": [0, 1]})
+    m = n - pow(step, -1, n)  # 1 + m*step = 0 (mod n)
+    assert len(str(n)) == 208
+    assert run(capsys, ["rotation-demo", path, "--x", "1"]) == (0, (
+        f"command: rotation-demo\nstart: 1\nend: 2\nlength: {2 * m + 1}\nhit: 0\nsegments:\n"
+        f"  step  power  count\n  a     1      {m}\n  b     1      1\n  a     -1     {m}\n"))
 
 
 @pytest.mark.parametrize("argv", [["eps-curve", "{rotation}"],

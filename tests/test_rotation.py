@@ -188,6 +188,21 @@ def test_hitting_time_zero_inside_arc():
     assert first_hitting_time(9, 4, 5, Arc(4, 3)) == 0
 
 
+def test_hitting_time_matches_walking_oracle_exhaustively():
+    # every step, start offset and arc length up to n = 24, wrapping arcs included
+    for n in range(1, 25):
+        for step in range(n):
+            for start in range(n):
+                for length in range(n + 1):
+                    arc = Arc(start, length)
+                    expected = hit_by_walking(n, step, 0, arc)
+                    if expected is None:
+                        with pytest.raises(UnreachableArcError):
+                            first_hitting_time(n, step, 0, arc)
+                    else:
+                        assert first_hitting_time(n, step, 0, arc) == expected
+
+
 @settings(max_examples=150)
 @given(st.integers(1, 60), st.integers(0, 59), st.integers(0, 59),
        st.integers(0, 59), st.integers(0, 60))
@@ -435,6 +450,16 @@ def test_curve_at_a_trillion_atoms_stores_the_period_only():
     assert not generates(epsilon_graphing(sys, "a", Arc(0, 1)), expected_relation(sys))
 
 
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+FIB_1399, FIB_1400 = fibonacci(1399), fibonacci(1400)
+
+
 @st.composite
 def big_rotations(draw):
     """n up to 10**18 with arcs of 1 to 1000 atoms; half the steps share a large gcd with n."""
@@ -452,6 +477,8 @@ def big_rotations(draw):
 @example((10**18, 2 * 10**17, 3, 5, 1000))     # unreachable: the arc misses the coset of 3
 @example((10**18, 999999999999999999, 0, 10**18 - 500, 1000))
 @example((10**18, 7, 0, 1, 0))                 # an empty arc is never entered
+@example((10**4000, 3**8000 % 10**4000, 12345, 7, 3))  # thousands of Euclid levels
+@example((FIB_1400, FIB_1399, 1, 0, 1))         # consecutive Fibonacci numbers: the most levels
 def test_hitting_time_matches_inverse_oracle_at_scale(case):
     n, step, x, start, length = case
     arc = Arc(start, length)
@@ -684,8 +711,9 @@ def curve_by_graphing(sys, full_step, epsilons):
 def priced_curves(draw):
     """n <= 300 with two or three steps; half the full steps share a factor with n.
 
-    Arcs fall both shorter than p = gcd(n, full step) and at least p long, and the
-    restricted steps are often multiples of p, so that g == p as well as g != p.
+    Arcs fall both shorter than p = gcd(n, full step), one to six of them so that the least
+    generating length falls among them, and at least p long; the restricted steps are often
+    multiples of p, so that g == p as well as g != p.
     """
     if draw(st.booleans()):
         factor = draw(st.sampled_from([2, 3, 4, 5, 6]))
@@ -698,7 +726,7 @@ def priced_curves(draw):
     others = draw(st.lists(st.one_of(st.integers(0, 2 * n), st.integers(0, n).map(p.__mul__)),
                            min_size=1, max_size=2))
     sys = RotationSystem(n, {"full": full, **{f"s{i}": s for i, s in enumerate(others)}})
-    lengths = [draw(st.integers(1, p - 1))] if p > 1 else []
+    lengths = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=6)) if p > 1 else []
     lengths.append(draw(st.integers(min(p, n), n)))
     eps = [Fraction(length, n) for length in lengths]
     return sys, eps + [draw(st.fractions(0, 1, max_denominator=10**4).filter(bool))]
@@ -715,11 +743,15 @@ def test_curve_prices_by_formula_and_builds_only_the_counted_rows(case):
         curve = cost_epsilon_curve(sys, "full", eps)
     rows = [(row.eps, row.arc_len, row.cost, row.generates) for row in curve.rows]
     assert rows == curve_by_graphing(sys, "full", eps)
-    # a graphing is built only for a row whose class count the rule cannot skip
+    # a graphing is built only to bisect the k distinct lengths below p when g != p: at most
+    # ceil(log2(k + 1)) of them, each on one of those lengths
     g = math.gcd(sys.n, *sys.steps.values())
     p = math.gcd(sys.n, sys.steps["full"])
-    assert [call.args for call in built.call_args_list] == [
-        (sys, "full", Arc(0, row.arc_len)) for row in curve.rows if g != p and row.arc_len < p]
+    short = {row.arc_len for row in curve.rows if row.arc_len < p}
+    calls = [call.args for call in built.call_args_list]
+    assert len(calls) <= (0 if g == p else len(short).bit_length())
+    assert all(args == (sys, "full", Arc(0, args[2].length)) and args[2].length in short
+               for args in calls)
 
 
 def test_million_atom_curve_values():
